@@ -1,6 +1,7 @@
 //! Linear C-SVC via dual coordinate descent (Hsieh et al., ICML 2008 — the
 //! LIBLINEAR algorithm), L1 (hinge) loss, bias handled as an augmented
-//! constant feature. One-vs-rest for multiclass.
+//! constant feature. One-vs-rest for multiclass; a two-class problem
+//! solves one dual, since class 1's is class 0's with `y → −y`.
 //!
 //! Dual: `min_α ½ αᵀ Q̄ α − eᵀα` s.t. `0 ≤ α_i ≤ C`,
 //! `Q̄_ij = y_i y_j x_iᵀ x_j`. Each coordinate step is
@@ -65,16 +66,25 @@ impl LinearSvm {
     /// Panics on an empty matrix.
     pub fn fit(data: &SparseBinaryMatrix, params: &LinearSvmParams) -> Self {
         assert!(!data.is_empty(), "cannot train on an empty matrix");
-        let weights = (0..data.n_classes)
-            .map(|c| {
-                let y: Vec<f64> = data
-                    .labels
-                    .iter()
-                    .map(|l| if l.index() == c { 1.0 } else { -1.0 })
-                    .collect();
-                train_binary(&data.rows, &y, data.n_features, params)
-            })
-            .collect();
+        let solve = |c: usize| {
+            let y: Vec<f64> = data
+                .labels
+                .iter()
+                .map(|l| if l.index() == c { 1.0 } else { -1.0 })
+                .collect();
+            train_binary(&data.rows, &y, data.n_features, params).0
+        };
+        let weights = if data.n_classes == 2 {
+            // Labels −y visit the rows in the same order and see the same
+            // gradients, so class 1's dual has class 0's α and every update
+            // to w negated. A weight no update touched is +0.0 in both
+            // duals, hence `0.0 - x`, which keeps it +0.0, and not `-x`.
+            let w0 = solve(0);
+            let w1 = w0.iter().map(|&x| 0.0 - x).collect();
+            vec![w0, w1]
+        } else {
+            (0..data.n_classes).map(solve).collect()
+        };
         LinearSvm {
             weights,
             n_features: data.n_features,
@@ -154,13 +164,15 @@ impl Classifier for LinearSvm {
 }
 
 /// Dual coordinate descent for one binary problem; returns the augmented
-/// weight vector (bias last).
+/// weight vector (bias last) and the dual variables α. A solve that stops
+/// at `max_epochs` with the violation still at or above `tol` counts in
+/// `dfp_train_unconverged_total`.
 fn train_binary(
     rows: &[Vec<u32>],
     y: &[f64],
     n_features: usize,
     params: &LinearSvmParams,
-) -> Vec<f64> {
+) -> (Vec<f64>, Vec<f64>) {
     let n = rows.len();
     let mut w = vec![0.0f64; n_features + 1];
     let mut alpha = vec![0.0f64; n];
@@ -168,6 +180,7 @@ fn train_binary(
     let qii: Vec<f64> = rows.iter().map(|r| r.len() as f64 + 1.0).collect();
     let mut order: Vec<usize> = (0..n).collect();
     let mut rng = StdRng::seed_from_u64(params.seed);
+    let mut converged = false;
 
     for _epoch in 0..params.max_epochs {
         order.shuffle(&mut rng);
@@ -203,10 +216,14 @@ fn train_binary(
             }
         }
         if max_violation < params.tol {
+            converged = true;
             break;
         }
     }
-    w
+    if !converged {
+        dfp_obs::metrics::dfp::train_unconverged().inc();
+    }
+    (w, alpha)
 }
 
 /// Dual objective value `½αᵀQ̄α − eᵀα` — exposed for tests verifying the
@@ -228,6 +245,7 @@ pub fn dual_objective(rows: &[Vec<u32>], y: &[f64], alpha: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn matrix(
         rows: Vec<Vec<u32>>,
@@ -301,19 +319,117 @@ mod tests {
 
     #[test]
     fn dual_feasibility_and_progress() {
-        // Train a tiny problem manually and verify the optimiser beats α = 0
-        // and a perturbed feasible point.
-        let rows = vec![vec![0u32], vec![0, 1], vec![1], vec![2]];
-        let y = vec![1.0, 1.0, -1.0, -1.0];
+        // Rows 1 and 4 coincide with opposite labels, so the data is not
+        // separable; row 5 has no active feature.
+        let rows = vec![
+            vec![0u32, 3],
+            vec![0, 1],
+            vec![1],
+            vec![2],
+            vec![0, 1],
+            vec![],
+            vec![0, 3],
+            vec![2, 3],
+        ];
+        let y = vec![1.0, 1.0, -1.0, -1.0, -1.0, 1.0, 1.0, -1.0];
         let params = LinearSvmParams::default();
-        // Re-run the internal trainer to recover alphas implicitly via w:
-        // instead check the model separates the data, which for L1-SVM on
-        // separable data implies a dual objective below 0.
-        let m = matrix(rows.clone(), vec![0, 0, 1, 1], 3, 2);
-        let svm = LinearSvm::fit(&m, &params);
-        assert_eq!(svm.accuracy(&m), 1.0);
-        // α = 0 has objective 0; any optimum must be ≤ 0.
-        assert!(dual_objective(&rows, &y, &[0.0; 4]) == 0.0);
+        let (w, alpha) = train_binary(&rows, &y, 4, &params);
+        assert!(
+            alpha.iter().all(|&a| (0.0..=params.c).contains(&a)),
+            "{alpha:?}"
+        );
+        // w = Σ αᵢ yᵢ x̃ᵢ, where x̃ᵢ appends the constant bias feature.
+        let mut from_alpha = vec![0.0f64; 5];
+        for (i, row) in rows.iter().enumerate() {
+            for &f in row {
+                from_alpha[f as usize] += alpha[i] * y[i];
+            }
+            from_alpha[4] += alpha[i] * y[i];
+        }
+        for (f, (a, b)) in w.iter().zip(&from_alpha).enumerate() {
+            assert!((a - b).abs() < 1e-9, "w[{f}] = {a}, Σαyx̃ = {b}");
+        }
+        // α = 0 scores 0; the optimum lies below it and below every feasible
+        // single-coordinate step of ±0.05 away from it.
+        let at_alpha = dual_objective(&rows, &y, &alpha);
+        assert!(at_alpha < 0.0, "{at_alpha}");
+        let mut perturbed = 0;
+        for i in 0..alpha.len() {
+            for step in [-0.05, 0.05] {
+                let mut moved = alpha.clone();
+                moved[i] += step;
+                if (0.0..=params.c).contains(&moved[i]) {
+                    perturbed += 1;
+                    let there = dual_objective(&rows, &y, &moved);
+                    assert!(at_alpha < there, "α{i} {step:+}: {at_alpha} ≥ {there}");
+                }
+            }
+        }
+        assert!(perturbed >= alpha.len());
+    }
+
+    /// A seeded random two-class matrix over 8 features. Row 0 has no
+    /// active feature and column 7 is never used; seeds below 10 label all
+    /// rows with one class.
+    fn random_two_class(seed: u64) -> (Vec<Vec<u32>>, Vec<u32>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n_rows = rng.random_range(2..40usize);
+        let rows: Vec<Vec<u32>> = (0..n_rows)
+            .map(|i| {
+                (0..7u32)
+                    .filter(|_| i > 0 && rng.random_range(0..3u32) == 0)
+                    .collect()
+            })
+            .collect();
+        let labels = (0..n_rows)
+            .map(|_| {
+                if seed < 10 {
+                    (seed % 2) as u32
+                } else {
+                    rng.random_range(0..2u32)
+                }
+            })
+            .collect();
+        (rows, labels)
+    }
+
+    #[test]
+    fn two_class_shortcut_is_bit_identical_to_solving_class_1() {
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in 0..60u64 {
+            let (rows, labels) = random_two_class(seed);
+            let params = LinearSvmParams::with_c([0.1, 1.0, 10.0][seed as usize % 3]);
+            let svm = LinearSvm::fit(&matrix(rows.clone(), labels.clone(), 8, 2), &params);
+            // The reference: class 1's own dual, with its own ±1 labels.
+            let y1: Vec<f64> = labels
+                .iter()
+                .map(|&l| if l == 1 { 1.0 } else { -1.0 })
+                .collect();
+            let (want, _) = train_binary(&rows, &y1, 8, &params);
+            assert_eq!(bits(&svm.weight_vectors()[1]), bits(&want), "seed {seed}");
+            assert_eq!(svm.weight(1, 7).to_bits(), 0.0f64.to_bits(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn solves_stopped_at_max_epochs_are_counted() {
+        // The first epoch starts at α = 0, where the first row visited has
+        // violation 1 > tol, so one epoch never converges.
+        let m = matrix(
+            vec![vec![0], vec![0, 1], vec![1], vec![]],
+            vec![0, 0, 1, 1],
+            2,
+            2,
+        );
+        let params = LinearSvmParams {
+            max_epochs: 1,
+            ..LinearSvmParams::default()
+        };
+        let unconverged = dfp_obs::metrics::dfp::train_unconverged();
+        let before = unconverged.get();
+        LinearSvm::fit(&m, &params);
+        // Counters are process-global and tests run concurrently.
+        assert!(unconverged.get() - before >= 1);
     }
 
     #[test]

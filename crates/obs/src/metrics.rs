@@ -600,10 +600,10 @@ pub mod dfp {
         "Closure-merge candidate checks performed by the closed-set miner"
     );
     counter_fn!(
-        /// Candidate slots scanned across MMRFS argmax rounds.
+        /// Candidates popped from MMRFS's lazy-greedy heap.
         select_candidates_scanned,
         "dfp_select_candidates_scanned_total",
-        "Candidate slots scanned across MMRFS argmax rounds"
+        "Candidates popped from the MMRFS lazy-greedy heap across argmax rounds"
     );
     counter_fn!(
         /// MMRFS argmax rounds run.
@@ -612,10 +612,17 @@ pub mod dfp {
         "MMRFS argmax rounds (one per considered candidate)"
     );
     counter_fn!(
-        /// Incremental redundancy-cache cell updates in MMRFS.
+        /// Redundancy evaluations MMRFS makes refreshing stale candidates.
         select_redundancy_updates,
         "dfp_select_redundancy_updates_total",
-        "Incremental redundancy-cache cell updates performed by MMRFS"
+        "Redundancy evaluations made refreshing stale MMRFS candidates"
+    );
+    counter_fn!(
+        /// Linear-SVM dual solves that stopped at `max_epochs` with the
+        /// projected-gradient violation still at or above `tol`.
+        train_unconverged,
+        "dfp_train_unconverged_total",
+        "Linear-SVM dual solves that stopped at max_epochs before the violation fell below tol"
     );
     counter_fn!(
         /// Mining-memoization cache hits (a mine call answered from cache).
@@ -699,6 +706,7 @@ pub mod dfp {
         select_candidates_scanned();
         select_argmax_rounds();
         select_redundancy_updates();
+        train_unconverged();
         cache_mining_hits();
         cache_mining_misses();
         pipeline_fits();
@@ -804,6 +812,7 @@ mod tests {
             "dfp_mine_patterns_emitted_total",
             "dfp_mine_nodes_explored_total",
             "dfp_select_candidates_scanned_total",
+            "dfp_train_unconverged_total",
             "dfp_pipeline_stage_seconds",
             "dfp_pipeline_degraded",
         ] {

@@ -21,6 +21,8 @@
 
 pub mod baseline;
 pub mod mmrfs;
+#[cfg(test)]
+mod reference;
 pub mod transform;
 
 pub use mmrfs::{mmrfs, MmrfsConfig, SelectionResult};

@@ -14,9 +14,16 @@
 //!
 //! "Correctly covers" follows the database-coverage tradition of CMAR: the
 //! instance contains the pattern and the pattern's majority class equals the
-//! instance's label. The per-candidate `max_{γ ∈ Fs} R(β, γ)` is maintained
-//! incrementally — one update pass over the remaining candidates per
-//! selection — so a full run costs `O(|Fs| · |F|)` tidset intersections.
+//! instance's label.
+//!
+//! The argmax is lazy greedy (Minoux): as `Fs` grows, `max_{γ ∈ Fs} R(β, γ)`
+//! can only rise, so a gain computed against fewer selections bounds the
+//! current one from above. A max-heap holds each candidate's gain as of its
+//! last evaluation; a popped candidate is refreshed only against the
+//! selections made since, and wins once it is at the top with a fresh gain.
+//! Most rounds end in a discard, which changes no gain, so they pop one
+//! fresh candidate instead of scanning the pool. The loop is sequential;
+//! only the tidset precompute runs on `dfp-par`.
 
 use dfp_data::rowset::RowSet;
 use dfp_data::transactions::TransactionSet;
@@ -24,6 +31,8 @@ use dfp_measures::redundancy::redundancy_from_overlap;
 use dfp_measures::RelevanceMeasure;
 use dfp_mining::count::pattern_rowset;
 use dfp_mining::MinedPattern;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// MMRFS configuration.
 #[derive(Debug, Clone)]
@@ -73,6 +82,49 @@ impl SelectionResult {
     }
 }
 
+/// A pool slot's entry in the lazy-greedy heap: its gain as of its last
+/// evaluation, against the first `seen` selections.
+struct Stale {
+    gain: f64,
+    support: u32,
+    cand: usize,
+    slot: usize,
+    /// `max_{γ ∈ Fs[..seen]} R(·, γ)`.
+    max_red: f64,
+    seen: usize,
+}
+
+impl Ord for Stale {
+    /// (gain, support, Reverse(candidate index)), with gains compared by
+    /// `>` and `==` so that ±0.0 tie; the heap never holds a NaN gain.
+    fn cmp(&self, other: &Self) -> Ordering {
+        let by_gain = if self.gain > other.gain {
+            Ordering::Greater
+        } else if self.gain == other.gain {
+            Ordering::Equal
+        } else {
+            Ordering::Less
+        };
+        by_gain.then_with(|| {
+            (self.support, Reverse(self.cand)).cmp(&(other.support, Reverse(other.cand)))
+        })
+    }
+}
+
+impl PartialOrd for Stale {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Stale {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Stale {}
+
 /// Runs MMRFS over candidate patterns mined from `ts`.
 ///
 /// The result's `selected` indices refer to `candidates`. Candidates with
@@ -96,7 +148,7 @@ pub fn mmrfs(
             pool.sort_by(|&a, &b| {
                 relevance[b]
                     .partial_cmp(&relevance[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .unwrap_or(Ordering::Equal)
                     .then_with(|| a.cmp(&b))
             });
             pool.truncate(k);
@@ -115,33 +167,28 @@ pub fn mmrfs(
         tids[j].and(&class_masks[candidates[pool[j]].majority_class().index()])
     });
 
-    let mut max_red = vec![0.0f64; pool.len()]; // max_{γ∈Fs} R(·, γ) so far
-    let mut alive = vec![true; pool.len()];
     let mut coverage = vec![0u32; n];
     let mut uncovered = n; // instances with coverage < δ
-    let mut selected = Vec::new();
+    let mut picked: Vec<usize> = Vec::new(); // pool slots of Fs, in order
 
-    // A challenger replaces the incumbent iff strictly greater under the
-    // total order (gain; support; Reverse(candidate index)) — the same rule
-    // the sequential scan applies, so chunked fold + in-order reduce picks
-    // the identical maximum (distinct indices make the order total, and a
-    // NaN/−∞ gain never wins any comparison, hence is never admitted).
-    let challenge = |best: Option<(usize, f64)>, j: usize, gain: f64| -> Option<(usize, f64)> {
-        let wins = match best {
-            None => gain > f64::NEG_INFINITY,
-            Some((b, best_gain)) => {
-                gain > best_gain
-                    || (gain == best_gain
-                        && (candidates[pool[j]].support, std::cmp::Reverse(pool[j]))
-                            > (candidates[pool[b]].support, std::cmp::Reverse(pool[b])))
-            }
-        };
-        if wins {
-            Some((j, gain))
-        } else {
-            best
-        }
+    // `slot`'s heap entry for redundancy `max_red` against the first `seen`
+    // selections. A NaN or −∞ gain never wins and never rises, so it is
+    // left out of the heap.
+    let entry = |slot: usize, max_red: f64, seen: usize| {
+        let cand = pool[slot];
+        let gain = relevance[cand] - max_red;
+        (gain > f64::NEG_INFINITY).then(|| Stale {
+            gain,
+            support: candidates[cand].support,
+            cand,
+            slot,
+            max_red,
+            seen,
+        })
     };
+    let mut heap: BinaryHeap<Stale> = (0..pool.len())
+        .filter_map(|slot| entry(slot, 0.0, 0))
+        .collect();
 
     // Selection-loop tallies, flushed to the global counters once at the end
     // (plain u64 bumps keep the loop free of atomic traffic).
@@ -149,63 +196,47 @@ pub fn mmrfs(
     let mut cand_scanned = 0u64;
     let mut red_updates = 0u64;
 
-    while uncovered > 0 && selected.len() < cfg.max_features.unwrap_or(usize::MAX) {
+    while uncovered > 0 && picked.len() < cfg.max_features.unwrap_or(usize::MAX) {
         argmax_rounds += 1;
-        cand_scanned += pool.len() as u64;
-        // argmax gain over the remaining pool (deterministic tie-break),
-        // chunked across workers.
-        let best = dfp_par::par_map_reduce(
-            &pool,
-            256,
-            || None,
-            |acc: Option<(usize, f64)>, j, &cand| {
-                if !alive[j] {
-                    return acc;
+        // Pop until the top is fresh. Every other entry's stale gain bounds
+        // its fresh one, so the fresh top is the argmax under
+        // (gain, support, Reverse(candidate index)).
+        let best = loop {
+            let Some(mut top) = heap.pop() else {
+                break None; // F = ∅
+            };
+            cand_scanned += 1;
+            if top.seen == picked.len() {
+                break Some(top.slot);
+            }
+            for &sel in &picked[top.seen..] {
+                let jac = tids[sel].jaccard(&tids[top.slot]);
+                let r = redundancy_from_overlap(jac, relevance[top.cand], relevance[pool[sel]]);
+                if r > top.max_red {
+                    top.max_red = r;
                 }
-                challenge(acc, j, relevance[cand] - max_red[j])
-            },
-            |left, right| match right {
-                Some((j, gain)) => challenge(left, j, gain),
-                None => left,
-            },
-        );
-        let Some((j, _)) = best else { break }; // F = ∅
-        alive[j] = false;
+            }
+            red_updates += (picked.len() - top.seen) as u64;
+            if let Some(refreshed) = entry(top.slot, top.max_red, picked.len()) {
+                heap.push(refreshed);
+            }
+        };
+        let Some(j) = best else { break };
 
         // Does β correctly cover at least one not-yet-saturated instance?
         let covers_new = correct[j].iter_ones().any(|t| coverage[t] < cfg.coverage);
         if !covers_new {
             continue; // discarded from F without selection (Algorithm 1, line 7)
         }
-
-        // Select β: update coverage and the incremental redundancy caches.
         for t in correct[j].iter_ones() {
             coverage[t] += 1;
             if coverage[t] == cfg.coverage {
                 uncovered -= 1;
             }
         }
-        // Redundancy-cache update: each slot only reads shared state and
-        // writes its own cell, so sharding `max_red` across workers leaves
-        // every cell's value — and thus later rounds — unchanged.
-        red_updates += alive.iter().filter(|&&a| a).count() as u64;
-        let sel_rel = relevance[pool[j]];
-        let sel_tids = &tids[j];
-        dfp_par::par_chunks_mut(&mut max_red, 256, |offset, cells| {
-            for (d, cell) in cells.iter_mut().enumerate() {
-                let k = offset + d;
-                if !alive[k] {
-                    continue;
-                }
-                let jac = sel_tids.jaccard(&tids[k]);
-                let r = redundancy_from_overlap(jac, relevance[pool[k]], sel_rel);
-                if r > *cell {
-                    *cell = r;
-                }
-            }
-        });
-        selected.push(pool[j]);
+        picked.push(j);
     }
+    let selected: Vec<usize> = picked.iter().map(|&j| pool[j]).collect();
 
     dfp_obs::metrics::dfp::select_argmax_rounds().add(argmax_rounds);
     dfp_obs::metrics::dfp::select_candidates_scanned().add(cand_scanned);
