@@ -133,16 +133,4 @@ mod tests {
         assert_eq!(mined.stopped_by, Some(StopReason::PatternBudget));
         assert_eq!(mined.patterns.len(), 3);
     }
-
-    #[test]
-    fn injected_fault_degrades_anytime_and_fails_strict() {
-        dfp_fault::arm("mining.nodeset", dfp_fault::Action::Err);
-        let mined = mine_anytime(&classic(), 1, &MineOptions::default()).unwrap();
-        let strict = mine(&classic(), 1, &MineOptions::default());
-        dfp_fault::disarm("mining.nodeset");
-        assert!(!mined.complete);
-        assert_eq!(mined.stopped_by, Some(StopReason::Fault));
-        assert!(mined.patterns.is_empty());
-        assert_eq!(strict.unwrap_err(), MiningError::Injected("mining.nodeset"));
-    }
 }

@@ -454,16 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_degrades_to_empty_incomplete() {
-        dfp_fault::arm("mining.nodeset", dfp_fault::Action::Err);
-        let got = mine_anytime(&classic(), 1, &Limits::default());
-        dfp_fault::disarm("mining.nodeset");
-        assert!(!got.complete);
-        assert_eq!(got.stopped_by, Some(Stop::Fault));
-        assert!(got.patterns.is_empty());
-    }
-
-    #[test]
     fn empty_database() {
         let got = mine_anytime(&db(&[]), 1, &Limits::default());
         assert!(got.complete);
