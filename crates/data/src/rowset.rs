@@ -793,6 +793,18 @@ impl RowSet {
         }
     }
 
+    /// `true` iff `self` and the dense mask share a row. The dense path
+    /// stops at the first 4-word block that shares one.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ.
+    pub fn intersects(&self, dense: &Bitset) -> bool {
+        match self {
+            RowSet::Dense(b) => b.intersection_count_at_least(dense, 1),
+            RowSet::Compressed(c) => c.intersection_count_dense(dense) > 0,
+        }
+    }
+
     /// Jaccard similarity `|A∩B| / |A∪B|`, `0.0` when both are empty —
     /// Eq. 9's set-overlap factor over either representation.
     ///
@@ -1055,6 +1067,22 @@ mod tests {
                     vec![ei]
                 );
             }
+        }
+    }
+
+    #[test]
+    fn intersects_finds_a_lone_shared_row() {
+        let len = CHUNK_BITS + 321;
+        let evens = sparse(len, 2);
+        let odds = Bitset::from_indices(len, (1..len).step_by(2));
+        let mut last = odds.clone();
+        last.set(len - 1); // even, and in the dense kernel's remainder words
+        for a in [
+            RowSet::Dense(Bitset::from_indices(len, evens.iter().copied())),
+            RowSet::Compressed(cb(len, &evens)),
+        ] {
+            assert!(!a.intersects(&odds));
+            assert!(a.intersects(&last));
         }
     }
 

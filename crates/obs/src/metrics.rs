@@ -606,10 +606,10 @@ pub mod dfp {
         "Candidates popped from the MMRFS lazy-greedy heap across argmax rounds"
     );
     counter_fn!(
-        /// MMRFS argmax rounds run.
+        /// MMRFS rounds: candidates that left F, selected or discarded.
         select_argmax_rounds,
         "dfp_select_argmax_rounds_total",
-        "MMRFS argmax rounds (one per considered candidate)"
+        "MMRFS rounds (one per candidate leaving F, selected or discarded)"
     );
     counter_fn!(
         /// Redundancy evaluations MMRFS makes refreshing stale candidates.

@@ -21,10 +21,20 @@
 //! current one from above. A max-heap holds each candidate's gain as of its
 //! last evaluation; a popped candidate is refreshed only against the
 //! selections made since, and wins once it is at the top with a fresh gain.
-//! Most rounds end in a discard, which changes no gain, so they pop one
-//! fresh candidate instead of scanning the pool. The loop is sequential;
-//! only the tidset precompute runs on `dfp-par`.
+//!
+//! Discards come first. Per class `c`, a dense mask holds the class-`c`
+//! rows still covered fewer than δ times (none when δ = 0). A popped
+//! candidate whose tidset misses its majority class's mask is dropped from
+//! F at once, without a refresh; only a candidate that still covers an open
+//! row is refreshed or selected. This is exact. Coverage only grows, so a
+//! dropped candidate could never be selected later. Between two selections
+//! every gain is fixed, so Algorithm 1 discards the candidates ranked above
+//! the best-keyed one that still covers an open row and then selects it;
+//! once those are dropped, that candidate is the fresh top. About 95% of
+//! rounds are such discards. The loop is sequential; only the tidset
+//! precompute runs on `dfp-par`.
 
+use dfp_data::bitset::Bitset;
 use dfp_data::rowset::RowSet;
 use dfp_data::transactions::TransactionSet;
 use dfp_measures::redundancy::redundancy_from_overlap;
@@ -155,20 +165,24 @@ pub fn mmrfs(
         }
     }
 
-    // Tidsets and correct-cover tidsets (dense or compressed row sets,
-    // following the active `DFP_BITSET` mode).
+    // Tidsets (dense or compressed row sets, following the active
+    // `DFP_BITSET` mode).
     let vertical = ts.vertical_rowsets();
-    let class_masks = ts.class_masks();
     let tids: Vec<RowSet> = dfp_par::par_chunks_map(&pool, 64, |&i| {
         pattern_rowset(&vertical, n, &candidates[i].items)
     });
-    let pool_slots: Vec<usize> = (0..pool.len()).collect();
-    let correct: Vec<RowSet> = dfp_par::par_chunks_map(&pool_slots, 64, |&j| {
-        tids[j].and(&class_masks[candidates[pool[j]].majority_class().index()])
-    });
 
+    // `open[c]`: the class-c rows correctly covered fewer than δ times. A
+    // candidate correctly covers an open row iff its tidset meets the mask
+    // of its majority class.
+    let mut open = vec![Bitset::new(n); ts.n_classes()];
+    if cfg.coverage > 0 {
+        for t in 0..n {
+            open[ts.label(t).index()].set(t);
+        }
+    }
+    let mut uncovered: usize = open.iter().map(Bitset::count_ones).sum();
     let mut coverage = vec![0u32; n];
-    let mut uncovered = n; // instances with coverage < δ
     let mut picked: Vec<usize> = Vec::new(); // pool slots of Fs, in order
 
     // `slot`'s heap entry for redundancy `max_red` against the first `seen`
@@ -191,65 +205,67 @@ pub fn mmrfs(
         .collect();
 
     // Selection-loop tallies, flushed to the global counters once at the end
-    // (plain u64 bumps keep the loop free of atomic traffic).
-    let mut argmax_rounds = 0u64;
+    // (plain u64 bumps keep the loop free of atomic traffic). A round is one
+    // candidate leaving F, selected or discarded.
+    let mut rounds = 0u64;
     let mut cand_scanned = 0u64;
     let mut red_updates = 0u64;
 
-    while uncovered > 0 && picked.len() < cfg.max_features.unwrap_or(usize::MAX) {
-        argmax_rounds += 1;
-        // Pop until the top is fresh. Every other entry's stale gain bounds
-        // its fresh one, so the fresh top is the argmax under
-        // (gain, support, Reverse(candidate index)).
-        let best = loop {
-            let Some(mut top) = heap.pop() else {
-                break None; // F = ∅
-            };
-            cand_scanned += 1;
-            if top.seen == picked.len() {
-                break Some(top.slot);
-            }
+    let cap = cfg.max_features.unwrap_or(usize::MAX);
+    while uncovered > 0 && picked.len() < cap {
+        let Some(mut top) = heap.pop() else {
+            break; // F = ∅
+        };
+        cand_scanned += 1;
+        let j = top.slot;
+        let mask = &mut open[candidates[top.cand].majority_class().index()];
+        if !tids[j].intersects(mask) {
+            rounds += 1; // discarded from F without selection (Algorithm 1, line 7)
+            continue;
+        }
+        if top.seen < picked.len() {
+            // Stale: refresh against the selections made since, and requeue.
             for &sel in &picked[top.seen..] {
-                let jac = tids[sel].jaccard(&tids[top.slot]);
+                let jac = tids[sel].jaccard(&tids[j]);
                 let r = redundancy_from_overlap(jac, relevance[top.cand], relevance[pool[sel]]);
                 if r > top.max_red {
                     top.max_red = r;
                 }
             }
             red_updates += (picked.len() - top.seen) as u64;
-            if let Some(refreshed) = entry(top.slot, top.max_red, picked.len()) {
+            if let Some(refreshed) = entry(j, top.max_red, picked.len()) {
                 heap.push(refreshed);
             }
-        };
-        let Some(j) = best else { break };
-
-        // Does β correctly cover at least one not-yet-saturated instance?
-        let covers_new = correct[j].iter_ones().any(|t| coverage[t] < cfg.coverage);
-        if !covers_new {
-            continue; // discarded from F without selection (Algorithm 1, line 7)
+            continue;
         }
-        for t in correct[j].iter_ones() {
-            coverage[t] += 1;
-            if coverage[t] == cfg.coverage {
-                uncovered -= 1;
+        // Fresh at the top: every other entry's stale gain bounds its fresh
+        // one, so β is the argmax under (gain, support, Reverse(candidate
+        // index)) among the candidates that still cover an open row.
+        rounds += 1;
+        for t in tids[j].iter_ones() {
+            if mask.get(t) {
+                coverage[t] += 1;
+                if coverage[t] == cfg.coverage {
+                    mask.unset(t);
+                    uncovered -= 1;
+                }
             }
         }
         picked.push(j);
     }
     let selected: Vec<usize> = picked.iter().map(|&j| pool[j]).collect();
 
-    dfp_obs::metrics::dfp::select_argmax_rounds().add(argmax_rounds);
+    dfp_obs::metrics::dfp::select_argmax_rounds().add(rounds);
     dfp_obs::metrics::dfp::select_candidates_scanned().add(cand_scanned);
     dfp_obs::metrics::dfp::select_redundancy_updates().add(red_updates);
     sp.attr("candidates", pool.len());
     sp.attr("selected", selected.len());
-    sp.attr("rounds", argmax_rounds);
+    sp.attr("rounds", rounds);
 
-    let fully_covered = coverage.iter().filter(|&&c| c >= cfg.coverage).count();
     SelectionResult {
         selected,
         relevance,
-        fully_covered,
+        fully_covered: n - uncovered,
     }
 }
 

@@ -153,14 +153,14 @@ proptest! {
 
     /// The lazy-greedy loop selects exactly what Algorithm 1 selects, under
     /// both relevance measures (Fisher's perfect separators score +∞, so
-    /// their gains can read ∞ − ∞ = NaN), δ ∈ 1..=3 and both caps. The
+    /// their gains can read ∞ − ∞ = NaN), δ ∈ 0..=3 and both caps. The
     /// candidates are shuffled, so that index order does not follow the
     /// miner's support order.
     #[test]
     fn lazy_greedy_equals_algorithm_1(
         ts in database(),
         min_sup in 1u32..=3,
-        delta in 1u32..=3,
+        delta in 0u32..=3,
         fisher in 0u32..2,
         caps in (0usize..6, 0usize..16),
         order in 0u64..u64::MAX,
