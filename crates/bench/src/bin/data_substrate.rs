@@ -19,7 +19,7 @@
 //!
 //! `DFP_FAST=1` shrinks operand counts and the profile to CI-smoke size.
 
-use dfp_bench::report::{write_root_json, Json, Table};
+use dfp_bench::report::{pattern_fingerprint, write_root_json, Json, Table};
 use dfp_core::{FrameworkConfig, ModelKind, PatternClassifier};
 use dfp_data::bitset::{scalar, Bitset};
 use dfp_data::discretize::MdlDiscretizer;
@@ -27,7 +27,7 @@ use dfp_data::ingest::{ingest_csv, IngestOptions};
 use dfp_data::rowset::{set_mode_override, BitsetMode, RowSet};
 use dfp_data::synth::{profile_by_name, stream_profile};
 use dfp_measures::MinSupStrategy;
-use dfp_mining::{eclat, MineOptions, RawPattern};
+use dfp_mining::{eclat, MineOptions};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -74,24 +74,6 @@ fn time_best<F: FnMut() -> usize>(mut f: F, iters: usize, reps: usize) -> f64 {
         best = best.min(start.elapsed().as_secs_f64() / reps as f64);
     }
     best
-}
-
-/// FNV-1a over the emitted pattern stream (items + supports, in order).
-fn pattern_fingerprint(patterns: &[RawPattern]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        for b in x.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-        }
-    };
-    for p in patterns {
-        mix(p.items.len() as u64);
-        for item in &p.items {
-            mix(item.0 as u64);
-        }
-        mix(p.support as u64);
-    }
-    h
 }
 
 /// `VmHWM`/`VmRSS` in MiB from `/proc/self/status` (Linux; 0 elsewhere).

@@ -1,29 +1,38 @@
-//! `mining_backends` — all five miners over UCI profiles → `BENCH_mining_backends.json`.
+//! `mining_backends` — the miners over UCI profiles → `BENCH_mining_backends.json`.
 //!
-//! Sweeps every `MinerKind` backend (closed, FP-growth, Eclat, Apriori,
-//! nodeset) over a mix of sparse small-UCI profiles, the paper's dense
+//! Sweeps the closed-set miner behind feature generation, Eclat (all
+//! frequent sets, the ablation backend) and Apriori (the level-wise test
+//! oracle) over a mix of sparse small-UCI profiles, the paper's dense
 //! scalability profiles (chess / waveform / letter), and a synthetic
 //! engineered to be extremely dense, mining each at the profile's default
-//! relative support. Per profile the report records the PPC-tree density
-//! (the statistic the nodeset engine's auto mode switches on), per-miner
-//! wall-clock / pattern counts / completeness, and the nodeset-vs-FP-growth
-//! speedup — the headline the nodeset backend exists for on dense data.
+//! relative support. Per profile the report records per-miner wall-clock /
+//! pattern counts / completeness and a fingerprint of the closed sets, so a
+//! change to the closed miner can be checked for identical output.
 //!
 //! `DFP_FAST=1` shrinks the profile list and iteration count for CI smoke;
 //! each run is capped by a deadline so a pathological backend degrades to a
 //! partial (flagged incomplete) result instead of hanging the sweep.
 
-use dfp_bench::report::{write_root_json, Json, Table};
+use dfp_bench::report::{pattern_fingerprint, write_root_json, Json, Table};
 use dfp_data::discretize::MdlDiscretizer;
 use dfp_data::synth::{profile_by_name, UciProfile};
 use dfp_data::transactions::TransactionSet;
 use dfp_mining::anytime::Mined;
-use dfp_mining::{apriori, closed, eclat, fpgrowth, nodeset, MineOptions, MinerKind};
+use dfp_mining::pattern::sort_canonical;
+use dfp_mining::{apriori, closed, eclat, MineOptions, MiningError};
 use std::time::{Duration, Instant};
 
+type AnytimeMiner = fn(&TransactionSet, usize, &MineOptions) -> Result<Mined, MiningError>;
+
+/// The swept miners, in report order.
+const MINERS: [(&str, AnytimeMiner); 3] = [
+    ("closed", closed::mine_closed_anytime),
+    ("eclat", eclat::mine_anytime),
+    ("apriori", apriori::mine_anytime),
+];
+
 /// A synthetic regime denser than chess: binary attributes with heavily
-/// concentrated values, so nearly every item clears `min_sup` and
-/// DiffNodesets stay tiny while conditional FP-trees stay bushy.
+/// concentrated values, so nearly every item clears `min_sup`.
 fn dense_synth() -> UciProfile {
     UciProfile {
         name: "dense-synth",
@@ -74,56 +83,45 @@ fn main() {
         Duration::from_secs(60)
     };
 
-    let miners = [
-        MinerKind::Closed,
-        MinerKind::FpGrowth,
-        MinerKind::Eclat,
-        MinerKind::Apriori,
-        MinerKind::Nodeset,
-    ];
-
     let mut table = Table::new(vec![
-        "profile", "items", "min_sup", "density", "miner", "seconds", "patterns", "complete",
+        "profile", "items", "min_sup", "miner", "seconds", "patterns", "complete",
     ]);
     let mut rows = Vec::new();
     for profile in &profiles {
         let ts = itemize(profile);
         let min_sup = ((ts.len() as f64 * profile.default_min_sup).ceil() as usize).max(1);
-        let density = dfp_nodeset::tree::PpcTree::build(&ts, min_sup).density();
 
         let mut per_miner = Vec::new();
-        let mut fp_secs = f64::NAN;
-        let mut nodeset_secs = f64::NAN;
-        for kind in miners {
+        let mut closed_fingerprint = String::new();
+        for (name, mine) in MINERS {
             // Best-of-N wall clock; patterns/complete are run-invariant.
             let mut best = f64::INFINITY;
             let mut last: Option<Mined> = None;
             for _ in 0..iters {
                 let opts = MineOptions::default().with_time_budget(per_run_deadline);
                 let start = Instant::now();
-                let mined = run(kind, &ts, min_sup, &opts);
+                let mined = mine(&ts, min_sup, &opts).expect("anytime mining succeeds");
                 let secs = start.elapsed().as_secs_f64();
                 best = best.min(secs);
                 last = Some(mined);
             }
             let mined = last.expect("at least one iteration");
-            match kind {
-                MinerKind::FpGrowth => fp_secs = best,
-                MinerKind::Nodeset => nodeset_secs = best,
-                _ => {}
+            if name == "closed" {
+                let mut sorted = mined.patterns.clone();
+                sort_canonical(&mut sorted);
+                closed_fingerprint = format!("{:016x}", pattern_fingerprint(&sorted));
             }
             table.row(vec![
                 profile.name.to_string(),
                 ts.n_items().to_string(),
                 min_sup.to_string(),
-                format!("{density:.3}"),
-                kind.name().to_string(),
+                name.to_string(),
                 format!("{best:.4}"),
                 mined.patterns.len().to_string(),
                 mined.complete.to_string(),
             ]);
             per_miner.push((
-                kind.name().to_string(),
+                name.to_string(),
                 Json::obj(vec![
                     ("seconds", Json::Num(best)),
                     ("patterns", Json::Int(mined.patterns.len() as u64)),
@@ -132,22 +130,12 @@ fn main() {
             ));
         }
 
-        let speedup = fp_secs / nodeset_secs;
-        eprintln!(
-            "{}: density {density:.3}, nodeset vs fpgrowth speedup {speedup:.2}x",
-            profile.name
-        );
         rows.push(Json::obj(vec![
             ("profile", Json::Str(profile.name.into())),
             ("instances", Json::Int(ts.len() as u64)),
             ("items", Json::Int(ts.n_items() as u64)),
             ("min_sup_abs", Json::Int(min_sup as u64)),
-            ("ppc_density", Json::Num(density)),
-            (
-                "dense",
-                Json::Bool(density >= dfp_nodeset::mine::DENSE_DIFF_THRESHOLD),
-            ),
-            ("nodeset_vs_fpgrowth_speedup", Json::Num(speedup)),
+            ("closed_fingerprint", Json::Str(closed_fingerprint)),
             ("miners", Json::Obj(per_miner)),
         ]));
     }
@@ -166,15 +154,4 @@ fn main() {
     let path =
         write_root_json("BENCH_mining_backends", &report).expect("write BENCH_mining_backends");
     eprintln!("wrote {}", path.display());
-}
-
-fn run(kind: MinerKind, ts: &TransactionSet, min_sup: usize, opts: &MineOptions) -> Mined {
-    match kind {
-        MinerKind::Closed => closed::mine_closed_anytime(ts, min_sup, opts),
-        MinerKind::FpGrowth => fpgrowth::mine_anytime(ts, min_sup, opts),
-        MinerKind::Eclat => eclat::mine_anytime(ts, min_sup, opts),
-        MinerKind::Apriori => apriori::mine_anytime(ts, min_sup, opts),
-        MinerKind::Nodeset => nodeset::mine_anytime(ts, min_sup, opts),
-    }
-    .expect("anytime mining succeeds")
 }

@@ -229,6 +229,26 @@ pub fn pct(x: f64) -> String {
     format!("{:.2}", x * 100.0)
 }
 
+/// 64-bit FNV-1a over a pattern stream in the given order: each pattern's
+/// length, items and support. Sort the stream canonically first to compare
+/// pattern sets whatever order a miner emits them in.
+pub fn pattern_fingerprint(patterns: &[dfp_mining::RawPattern]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for p in patterns {
+        mix(p.items.len() as u64);
+        for item in &p.items {
+            mix(item.0 as u64);
+        }
+        mix(p.support as u64);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

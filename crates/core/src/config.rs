@@ -72,9 +72,8 @@ pub struct PatternMining {
 impl Default for PatternMining {
     fn default() -> Self {
         PatternMining {
-            // Closed mining per the paper, unless a valid `DFP_MINER`
-            // environment override selects another backend.
-            miner: MinerKind::env_default(),
+            // Closed mining per the paper.
+            miner: MinerKind::Closed,
             // A generous safety budget: mining aborts (instead of hanging)
             // if a pathologically low min_sup explodes the pattern count.
             options: MineOptions::default()
@@ -221,8 +220,7 @@ impl FrameworkConfig {
         self
     }
 
-    /// Replaces the mining backend (no-op for items-only modes). Overrides
-    /// both the paper default and any `DFP_MINER` environment setting.
+    /// Replaces the mining backend (no-op for items-only modes).
     pub fn with_miner(mut self, miner: MinerKind) -> Self {
         if let FeatureMode::Patterns { mining, .. } = &mut self.features {
             mining.miner = miner;

@@ -24,8 +24,8 @@ mod error;
 mod pipeline;
 
 pub use config::{DiscretizerKind, FeatureMode, FrameworkConfig, ModelKind, SelectionStrategy};
-/// Re-export: the mining backend selector, so downstream crates (serving,
-/// CLIs) can parse `--miner`/`DFP_MINER` without a direct mining dependency.
+/// Re-export: the mining backend selector, so callers can pick a backend
+/// without a direct mining dependency.
 pub use dfp_mining::per_class::MinerKind;
 pub use error::FrameworkError;
 pub use pipeline::{

@@ -255,17 +255,6 @@ impl TransactionSet {
             .collect()
     }
 
-    /// Tidset of a single item as a [`Bitset`] over transaction ids.
-    pub fn item_tidset(&self, item: Item) -> Bitset {
-        let mut b = Bitset::new(self.len());
-        for (t, tx) in self.transactions.iter().enumerate() {
-            if tx.binary_search(&item).is_ok() {
-                b.set(t);
-            }
-        }
-        b
-    }
-
     /// Vertical representation: tidset of every item, indexed by item id.
     pub fn vertical(&self) -> Vec<Bitset> {
         let mut v = vec![Bitset::new(self.len()); self.n_items];
@@ -303,16 +292,6 @@ impl TransactionSet {
             .into_iter()
             .map(|idx| RowSet::from_sorted_indices(n, &idx))
             .collect()
-    }
-
-    /// Tidset of an itemset (intersection of item tidsets). The empty pattern
-    /// covers everything.
-    pub fn pattern_tidset(&self, items: &[Item]) -> Bitset {
-        let mut b = Bitset::full(self.len());
-        for &item in items {
-            b.intersect_with(&self.item_tidset(item));
-        }
-        b
     }
 
     /// Absolute support of an itemset.
@@ -419,17 +398,8 @@ mod tests {
     #[test]
     fn tidsets() {
         let ts = tiny();
-        assert_eq!(
-            ts.item_tidset(Item(0)).iter_ones().collect::<Vec<_>>(),
-            vec![0, 1, 3]
-        );
-        assert_eq!(
-            ts.pattern_tidset(&[Item(0), Item(1)])
-                .iter_ones()
-                .collect::<Vec<_>>(),
-            vec![0, 3]
-        );
         let v = ts.vertical();
+        assert_eq!(v[0].iter_ones().collect::<Vec<_>>(), vec![0, 1, 3]);
         assert_eq!(v[2].iter_ones().collect::<Vec<_>>(), vec![0, 1]);
     }
 

@@ -1,31 +1,41 @@
-//! Closed frequent itemset mining (FPClose / CHARM style).
+//! Closed frequent itemset mining by prefix-preserving closure extension.
 //!
 //! The paper mines **closed** patterns ("we use the closed frequent patterns
 //! as features instead of frequent ones […] since for a closed pattern α and
 //! its non-closed sub-pattern β, β is completely redundant w.r.t. α", §3.3).
 //!
-//! Strategy: a vertical DFS in which every extension item whose conditional
-//! tidset equals the prefix tidset is *merged into the prefix closure*
-//! (it occurs in every covering transaction, so no strictly-smaller pattern
-//! omitting it can be closed). Each DFS node emits one candidate — the
-//! merged prefix — and an exact subsumption **post-filter** removes the
-//! remaining non-closed candidates (a candidate is non-closed iff some other
-//! candidate is a strict superset with equal support; the closure of every
-//! frequent set is provably among the candidates, see the module tests which
-//! verify equality against a brute-force definition of closedness).
+//! Closedness is decided during the search by the cover rule of Maamar et
+//! al.'s ClosedPattern constraint: an itemset P is closed iff no item
+//! outside P has a cover ⊇ cover(P). Duplicates are avoided by LCM's
+//! prefix-preserving extension (Uno et al.). The search starts from the
+//! closure of ∅ — the items present in every transaction — and grows each
+//! closed set P, with tidset T and core item c (the item whose addition
+//! produced P), by every frequent item e > c outside P:
+//!
+//! * T′ = T ∩ tids(e); e is skipped when |T′| < `min_sup`;
+//! * e is skipped when some item j < e outside P has tids(j) ⊇ T′ — the
+//!   closure would then change P below e, and that closed set has another
+//!   parent;
+//! * otherwise Q = P ∪ {e} ∪ {j > e : tids(j) ⊇ T′} is closed: it is emitted
+//!   with support |T′| and extended in turn with core e.
+//!
+//! Every closed frequent set except the closure of ∅ has exactly one such
+//! parent, so each is emitted exactly once and no post-filter runs. Tidsets
+//! are [`RowSet`]s in the active `DFP_BITSET` representation; each search
+//! depth intersects into its own scratch slot, as in [`crate::eclat`].
 
 use crate::anytime::{self, Mined, StopReason};
 use crate::{MineOptions, MiningError, RawPattern};
-use dfp_data::bitset::Bitset;
+use dfp_data::rowset::RowSet;
 use dfp_data::transactions::{Item, TransactionSet};
 use std::collections::HashMap;
 
 /// Mines all **closed** itemsets with absolute support `>= min_sup`.
 ///
-/// `opts.min_len` filters emitted patterns; `opts.max_len` bounds the DFS
-/// depth (note: closure merging can still produce patterns longer than
-/// `max_len`; with a cap, output closedness is relative to the explored
-/// universe). `opts.max_patterns` bounds the *candidate* count and aborts
+/// `opts.min_len` filters emitted patterns; a closed set of `opts.max_len`
+/// items or more is not extended (its closure may still make it longer, and
+/// closedness is then relative to the explored part of the search).
+/// `opts.max_patterns` bounds the number of emitted closed sets and aborts
 /// with [`MiningError::PatternLimitExceeded`].
 pub fn mine_closed(
     ts: &TransactionSet,
@@ -39,11 +49,11 @@ pub fn mine_closed(
     )
 }
 
-/// Anytime variant of [`mine_closed`]: the budget, the deadline, and an
-/// armed `mining.closed` failpoint stop the DFS and run the closedness
-/// post-filter on the candidates found so far. A truncated candidate stream
-/// still yields exact supports; closedness is then relative to the explored
-/// part of the search space.
+/// Anytime variant of [`mine_closed`]: the budget and the deadline stop the
+/// search and return the closed sets emitted so far; an armed
+/// `mining.closed` failpoint returns an empty, incomplete result. Every
+/// returned pattern is closed in the full database and carries its exact
+/// support.
 pub fn mine_closed_anytime(
     ts: &TransactionSet,
     min_sup: usize,
@@ -56,283 +66,158 @@ pub fn mine_closed_anytime(
     if let Some(dfp_fault::Action::Err) = dfp_fault::evaluate("mining.closed") {
         return Ok(Mined::stopped(Vec::new(), StopReason::Fault));
     }
-    let vertical = ts.vertical();
-    let cands: Vec<(Item, Bitset)> = (0..ts.n_items())
-        .filter_map(|i| {
-            let tids = &vertical[i];
-            (tids.count_ones() >= min_sup).then(|| (Item(i as u32), tids.clone()))
-        })
+    let frequent: Vec<(Item, RowSet)> = ts
+        .vertical_rowsets()
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, tids)| (tids.count_ones() >= min_sup).then_some((Item(i as u32), tids)))
         .collect();
-
-    // The root DFS node, expanded inline so each top-level branch becomes an
-    // independent worker task (candidate generation below any branch only
-    // touches that branch's tidsets, so branches share nothing mutable).
-    // Task outputs are concatenated in the sequential branch order, keeping
-    // the candidate stream — and therefore the result — bit-identical to a
-    // single-threaded run.
-    let prefix_support = ts.len();
-    // Stats stay plain u64s threaded through the recursion; they flush into
-    // the global counters with one atomic add each at the end of the call.
-    let mut stats = DfsStats::default();
-    let mut root_prefix: Vec<Item> = Vec::new();
-    let mut rest: Vec<(Item, Bitset, usize)> = Vec::with_capacity(cands.len());
-    for (item, t) in cands {
-        stats.closure_checks += 1;
-        let c = t.count_ones();
-        if c == prefix_support {
-            root_prefix.push(item);
-        } else {
-            rest.push((item, t, c));
-        }
-    }
-
-    let mut seeded: Vec<RawPattern> = Vec::new();
-    if !root_prefix.is_empty() {
-        let mut items = root_prefix.clone();
-        items.sort_unstable();
-        seeded.push(RawPattern {
-            items,
-            support: prefix_support as u32,
-        });
-        if let Err(reason) = anytime::check_stop(seeded.len(), opts) {
-            return Ok(finish(
-                ts,
-                min_sup,
-                anytime::stopped_sequential(seeded, reason, opts),
-                opts,
-            ));
-        }
-    }
-
-    let mined = if opts.may_extend(root_prefix.len()) {
-        // Ascending-support order maximises later merge opportunities (CHARM).
-        rest.sort_by_key(|&(item, _, c)| (c, item));
-        let branches: Vec<usize> = (0..rest.len()).collect();
-        // A stopped branch keeps its best-so-far candidates; the merge
-        // truncates the concatenated stream at the cumulative budget, so the
-        // surviving prefix is identical to a sequential run's.
-        let results: Vec<(Vec<RawPattern>, Option<StopReason>, DfsStats)> =
-            dfp_par::par_map(&branches, |&i| {
-                let (item, ref t, _) = rest[i];
-                let mut prefix = root_prefix.clone();
-                prefix.push(item);
-                let child_cands: Vec<(Item, Bitset)> = rest[i + 1..]
-                    .iter()
-                    .filter_map(|(j, tj, _)| {
-                        let mut inter = tj.clone();
-                        let n = inter.intersect_with_count(t);
-                        (n >= min_sup).then_some((*j, inter))
-                    })
-                    .collect();
-                let mut task_out = Vec::new();
-                let mut task_stats = DfsStats::default();
-                let stop = dfs(
-                    &mut prefix,
-                    t,
-                    child_cands,
-                    min_sup,
-                    opts,
-                    &mut task_out,
-                    &mut task_stats,
-                )
-                .err();
-                (task_out, stop, task_stats)
-            });
-        for (_, _, task_stats) in &results {
-            stats.nodes += task_stats.nodes;
-            stats.closure_checks += task_stats.closure_checks;
-        }
-        anytime::merge_task_outputs(
-            seeded,
-            results
-                .into_iter()
-                .map(|(out, stop, _)| (out, stop))
-                .collect(),
-            opts,
-        )
-    } else {
-        Mined::complete(seeded)
+    let supports: Vec<usize> = frequent.iter().map(|(_, t)| t.count_ones()).collect();
+    // One slot for the root and one per depth below it; each depth adds at
+    // least one item.
+    let mut scratch: Vec<RowSet> = (0..=frequent.len())
+        .map(|_| RowSet::new_scratch(ts.len()))
+        .collect();
+    let mut search = Search {
+        frequent: &frequent,
+        supports: &supports,
+        min_sup,
+        opts,
+        in_p: vec![false; frequent.len()],
+        p: Vec::new(),
+        out: Vec::new(),
+        nodes: 0,
+        closure_checks: 0,
     };
-    let finished = finish(ts, min_sup, mined, opts);
-    dfp_obs::metrics::dfp::mine_nodes_explored().add(stats.nodes);
-    dfp_obs::metrics::dfp::mine_closure_checks().add(stats.closure_checks);
-    dfp_obs::metrics::dfp::mine_patterns_emitted().add(finished.patterns.len() as u64);
+    // The closure of ∅: the items of every transaction.
+    for k in 0..frequent.len() {
+        if search.supports[k] == ts.len() {
+            search.add(k);
+        }
+    }
+    let root = if search.p.is_empty() {
+        Ok(())
+    } else {
+        search.emit(ts.len())
+    };
+    let mined = match root.and_then(|()| search.extend(None, 0, &mut scratch)) {
+        Ok(()) => Mined::complete(search.out),
+        Err(reason) => anytime::stopped_sequential(search.out, reason, opts),
+    };
+    dfp_obs::metrics::dfp::mine_nodes_explored().add(search.nodes);
+    dfp_obs::metrics::dfp::mine_closure_checks().add(search.closure_checks);
+    dfp_obs::metrics::dfp::mine_patterns_emitted().add(mined.patterns.len() as u64);
     sp.attr("min_sup", min_sup);
-    sp.attr("nodes", stats.nodes);
-    sp.attr("closure_checks", stats.closure_checks);
-    sp.attr("patterns", finished.patterns.len());
-    Ok(finished)
+    sp.attr("nodes", search.nodes);
+    sp.attr("closure_checks", search.closure_checks);
+    sp.attr("patterns", mined.patterns.len());
+    Ok(mined)
 }
 
-/// Per-task search statistics, merged and flushed to the global counters
-/// once per mining call.
-#[derive(Debug, Default, Clone, Copy)]
-struct DfsStats {
-    /// DFS nodes entered (one per [`dfs`] invocation plus the root).
+/// The state of one closed-set search. Items are named by their index in
+/// `frequent`, which ascends with the item id.
+struct Search<'a> {
+    /// The frequent items with their tidsets.
+    frequent: &'a [(Item, RowSet)],
+    /// `|tids(j)|` for every frequent item `j`.
+    supports: &'a [usize],
+    min_sup: usize,
+    opts: &'a MineOptions,
+    /// Membership of each frequent item in the current closed set `p`.
+    in_p: Vec<bool>,
+    /// The current closed set, in insertion order.
+    p: Vec<usize>,
+    out: Vec<RawPattern>,
+    /// Closed sets reached, emitted or not.
     nodes: u64,
-    /// Closure-merge candidate comparisons (`tidset == prefix tidset`).
+    /// Cover tests `tids(j) ⊇ T′` run.
     closure_checks: u64,
 }
 
-/// Applies the closedness post-filter and the `min_len` cut to a (possibly
-/// truncated) candidate stream.
-///
-/// The filter of choice is the PPC-tree **cover filter** from
-/// `dfp-nodeset`: it canonicalises each candidate's tidset as fused
-/// transaction-id intervals, so subsumption checks collapse to hash-map
-/// grouping instead of the portable filter's per-support subset scans.
-/// Both filters implement the same semantics (drop a pattern iff a strict
-/// superset of equal support exists among the candidates); the portable
-/// [`closed_filter`] remains as the fallback for candidate streams that
-/// mention items outside the tree (possible only for hand-built streams,
-/// never for candidates mined from `ts` at `min_sup`).
-fn finish(ts: &TransactionSet, min_sup: usize, mined: Mined, opts: &MineOptions) -> Mined {
-    let cands: Vec<dfp_nodeset::Pattern> = mined
-        .patterns
-        .into_iter()
-        .map(|p| dfp_nodeset::Pattern {
-            items: p.items,
-            support: p.support,
-        })
-        .collect();
-    let mut closed: Vec<RawPattern> =
-        match dfp_nodeset::cover::closed_cover_filter(ts, min_sup, cands) {
-            Ok(filtered) => filtered
-                .into_iter()
-                .map(|p| RawPattern {
-                    items: p.items,
-                    support: p.support,
-                })
-                .collect(),
-            Err(unfiltered) => closed_filter(
-                unfiltered
-                    .into_iter()
-                    .map(|p| RawPattern {
-                        items: p.items,
-                        support: p.support,
-                    })
-                    .collect(),
-            ),
-        };
-    closed.retain(|p| p.len() >= opts.min_len);
-    Mined {
-        patterns: closed,
-        complete: mined.complete,
-        stopped_by: mined.stopped_by,
+impl Search<'_> {
+    fn add(&mut self, k: usize) {
+        self.p.push(k);
+        self.in_p[k] = true;
     }
-}
 
-/// DFS node. `cands` tidsets are already intersected with `tids` (the prefix
-/// tidset) and meet `min_sup`.
-fn dfs(
-    prefix: &mut Vec<Item>,
-    tids: &Bitset,
-    mut cands: Vec<(Item, Bitset)>,
-    min_sup: usize,
-    opts: &MineOptions,
-    out: &mut Vec<RawPattern>,
-    stats: &mut DfsStats,
-) -> Result<(), StopReason> {
-    stats.nodes += 1;
-    let prefix_support = tids.count_ones();
-
-    // Closure merge: items present in every covering transaction.
-    let mut rest: Vec<(Item, Bitset, usize)> = Vec::with_capacity(cands.len());
-    let base_len = prefix.len();
-    for (item, t) in cands.drain(..) {
-        stats.closure_checks += 1;
-        let c = t.count_ones();
-        if c == prefix_support {
-            prefix.push(item);
-        } else {
-            rest.push((item, t, c));
+    /// Emits the current closed set with `support` when it is long enough,
+    /// then checks the stop conditions.
+    fn emit(&mut self, support: usize) -> Result<(), StopReason> {
+        self.nodes += 1;
+        if self.opts.len_ok(self.p.len()) {
+            let mut items: Vec<Item> = self.p.iter().map(|&k| self.frequent[k].0).collect();
+            items.sort_unstable();
+            self.out.push(RawPattern {
+                items,
+                support: support as u32,
+            });
         }
+        anytime::check_stop(self.out.len(), self.opts)
     }
 
-    // Emit the merged prefix as a closed-set candidate.
-    if !prefix.is_empty() {
-        let mut items = prefix.clone();
-        items.sort_unstable();
-        out.push(RawPattern {
-            items,
-            support: prefix_support as u32,
-        });
-        anytime::check_stop(out.len(), opts)?;
-    }
-
-    if opts.may_extend(prefix.len()) {
-        // Ascending-support order maximises later merge opportunities (CHARM).
-        rest.sort_by_key(|&(item, _, c)| (c, item));
-        for i in 0..rest.len() {
-            let (item, ref t, _) = rest[i];
-            prefix.push(item);
-            let child_cands: Vec<(Item, Bitset)> = rest[i + 1..]
-                .iter()
-                .filter_map(|(j, tj, _)| {
-                    let mut inter = tj.clone();
-                    let n = inter.intersect_with_count(t);
-                    (n >= min_sup).then_some((*j, inter))
-                })
-                .collect();
-            dfs(prefix, t, child_cands, min_sup, opts, out, stats)?;
-            prefix.pop();
+    /// Extends the current closed set (tidset `tids`, `None` for every row)
+    /// by each item from `first` on. `scratch[0]` receives this depth's
+    /// intersections; deeper calls use the rest.
+    fn extend(
+        &mut self,
+        tids: Option<&RowSet>,
+        first: usize,
+        scratch: &mut [RowSet],
+    ) -> Result<(), StopReason> {
+        if !self.opts.may_extend(self.p.len()) {
+            return Ok(());
         }
-    }
-
-    prefix.truncate(base_len);
-    Ok(())
-}
-
-/// Removes duplicates and non-closed candidates: keeps exactly the patterns
-/// with no strict superset of equal support among the input.
-///
-/// Implementation: group by support; inside a group, patterns are checked
-/// longest-first against an inverted item → pattern-id index, so each check
-/// costs `O(|pattern| · avg-postings)` rather than a full group scan.
-pub fn closed_filter(patterns: Vec<RawPattern>) -> Vec<RawPattern> {
-    // Dedup identical itemsets.
-    let mut uniq: HashMap<Vec<Item>, u32> = HashMap::with_capacity(patterns.len());
-    for p in patterns {
-        uniq.entry(p.items).or_insert(p.support);
-    }
-
-    // Group by support.
-    let mut by_support: HashMap<u32, Vec<Vec<Item>>> = HashMap::new();
-    for (items, support) in uniq {
-        by_support.entry(support).or_default().push(items);
-    }
-
-    let mut out = Vec::new();
-    for (support, mut group) in by_support {
-        group.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-        // kept patterns indexed by item
-        let mut kept: Vec<Vec<Item>> = Vec::new();
-        let mut postings: HashMap<Item, Vec<usize>> = HashMap::new();
-        'next: for items in group {
-            // subsumed iff some kept (strictly longer) pattern contains all items
-            let mut hits: HashMap<usize, usize> = HashMap::new();
-            for it in &items {
-                if let Some(list) = postings.get(it) {
-                    for &k in list {
-                        if kept[k].len() > items.len() {
-                            let h = hits.entry(k).or_insert(0);
-                            *h += 1;
-                            if *h == items.len() {
-                                continue 'next; // subsumed
-                            }
-                        }
-                    }
+        let frequent = self.frequent;
+        let (slot, rest) = scratch
+            .split_first_mut()
+            .expect("scratch covers search depth");
+        for e in first..frequent.len() {
+            if self.in_p[e] {
+                continue;
+            }
+            let support = match tids {
+                None => self.supports[e],
+                Some(t) => t.intersect_into(&frequent[e].1, slot),
+            };
+            if support < self.min_sup {
+                continue;
+            }
+            let t_prime: &RowSet = match tids {
+                None => &frequent[e].1,
+                Some(_) => slot,
+            };
+            // tids(j) ⊇ T′ needs |tids(j)| ≥ |T′|: the cached supports
+            // decide most items without touching a tidset.
+            let supports = self.supports;
+            let mut checks = 0u64;
+            let mut covers = |in_p: &[bool], j: usize| {
+                if in_p[j] || supports[j] < support {
+                    return false;
+                }
+                checks += 1;
+                t_prime.is_subset_of(&frequent[j].1)
+            };
+            if (0..e).any(|j| covers(&self.in_p, j)) {
+                self.closure_checks += checks;
+                continue;
+            }
+            let base = self.p.len();
+            self.add(e);
+            for j in e + 1..frequent.len() {
+                if covers(&self.in_p, j) {
+                    self.add(j);
                 }
             }
-            let id = kept.len();
-            for it in &items {
-                postings.entry(*it).or_default().push(id);
+            self.closure_checks += checks;
+            self.emit(support)?;
+            self.extend(Some(t_prime), e + 1, rest)?;
+            for &k in &self.p[base..] {
+                self.in_p[k] = false;
             }
-            kept.push(items);
+            self.p.truncate(base);
         }
-        out.extend(kept.into_iter().map(|items| RawPattern { items, support }));
+        Ok(())
     }
-    out
 }
 
 /// Expands a closed-set listing back into the **full** frequent collection:
@@ -340,10 +225,9 @@ pub fn closed_filter(patterns: Vec<RawPattern>) -> Vec<RawPattern> {
 /// equal to the *maximum* support among the closed sets containing it (the
 /// defining property of the closed representation).
 ///
-/// Exponential in the longest closed set — this is the differential-oracle
-/// counterpart of [`closed_filter`], meant for test-scale databases, not
-/// production feature generation. Returns canonical order (length, then
-/// lexicographic).
+/// Exponential in the longest closed set — a differential-oracle helper
+/// meant for test-scale databases, not production feature generation.
+/// Returns canonical order (length, then lexicographic).
 pub fn expand_frequent(closed: &[RawPattern]) -> Vec<RawPattern> {
     let mut best: HashMap<Vec<Item>, u32> = HashMap::new();
     let mut subset = Vec::new();
@@ -451,6 +335,28 @@ mod tests {
     }
 
     #[test]
+    fn closure_of_the_empty_set_is_emitted_once() {
+        // Item 0 is in every row: {0} is the root closed set, and every
+        // other closed set contains it.
+        let ts = db(&[&[0, 1], &[0, 2], &[0, 1, 2]]);
+        let mut got = mine_closed(&ts, 1, &MineOptions::default()).unwrap();
+        sort_canonical(&mut got);
+        let fmt: Vec<(Vec<u32>, u32)> = got
+            .iter()
+            .map(|p| (p.items.iter().map(|i| i.0).collect(), p.support))
+            .collect();
+        assert_eq!(
+            fmt,
+            vec![
+                (vec![0], 3),
+                (vec![0, 1], 2),
+                (vec![0, 2], 2),
+                (vec![0, 1, 2], 1)
+            ]
+        );
+    }
+
+    #[test]
     fn closed_is_subset_of_frequent_with_matching_supports() {
         let ts = db(&[
             &[0, 1, 4],
@@ -486,34 +392,24 @@ mod tests {
     #[test]
     fn min_len_filter_applies_after_closure() {
         let ts = db(&[&[0, 1, 4], &[1, 3], &[1, 2], &[0, 1, 3], &[0, 2]]);
-        let got = mine_closed(&ts, 1, &MineOptions::default().with_min_len(2)).unwrap();
-        assert!(got.iter().all(|p| p.len() >= 2));
+        let mut got = mine_closed(&ts, 1, &MineOptions::default().with_min_len(2)).unwrap();
+        sort_canonical(&mut got);
+        let mut want = mine_closed_brute_force(&ts, 1, None);
+        want.retain(|p| p.len() >= 2);
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn closed_filter_alone() {
-        let pats = vec![
-            RawPattern {
-                items: vec![Item(0)],
-                support: 2,
-            },
-            RawPattern {
-                items: vec![Item(0), Item(1)],
-                support: 2,
-            },
-            RawPattern {
-                items: vec![Item(1)],
-                support: 3,
-            },
-            RawPattern {
-                items: vec![Item(0), Item(1)],
-                support: 2,
-            }, // dup
-        ];
-        let mut got = closed_filter(pats);
+    fn max_len_stops_extension_not_closure() {
+        // {1} is closed with support 4; its extensions are cut at length 1,
+        // but {0,2}'s closure is emitted whole.
+        let ts = db(&[&[1], &[1, 3], &[1, 3], &[0, 1, 2], &[0, 2]]);
+        let mut got = mine_closed(&ts, 1, &MineOptions::default().with_max_len(1)).unwrap();
         sort_canonical(&mut got);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].items, vec![Item(1)]);
-        assert_eq!(got[1].items, vec![Item(0), Item(1)]);
+        let fmt: Vec<(Vec<u32>, u32)> = got
+            .iter()
+            .map(|p| (p.items.iter().map(|i| i.0).collect(), p.support))
+            .collect();
+        assert_eq!(fmt, vec![(vec![1], 4), (vec![0, 2], 2)]);
     }
 }

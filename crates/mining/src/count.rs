@@ -193,15 +193,6 @@ pub fn attach_class_supports(
         .collect()
 }
 
-/// Tidset of an itemset from a vertical representation.
-pub fn pattern_tids(vertical: &[Bitset], n: usize, items: &[Item]) -> Bitset {
-    let mut tids = Bitset::full(n);
-    for item in items {
-        tids.intersect_with(&vertical[item.index()]);
-    }
-    tids
-}
-
 /// Row set of an itemset from a vertical [`RowSet`] representation.
 ///
 /// The empty itemset covers every row. Otherwise the first item's rows seed

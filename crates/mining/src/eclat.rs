@@ -4,8 +4,9 @@
 //! or roaring-compressed per the active `DFP_BITSET` mode — and a DFS
 //! extends the current prefix with items of higher id, intersecting tidsets.
 //! Simple, exact, and fast at the dataset sizes of the paper's evaluation.
-//! Serves as an independently-implemented cross-check for the FP-growth
-//! miner (property tests assert equality of outputs).
+//! Mines *all* frequent sets: the ablation backend against closed mining,
+//! and a cross-check of Apriori and the brute-force oracles in the property
+//! tests.
 //!
 //! The candidate-extension loop writes each `prefix ∩ candidate` into a
 //! per-depth scratch slot instead of cloning the prefix tidset per

@@ -4,15 +4,12 @@
 //! The paper uses **FPClose** to generate *closed* frequent itemsets; this
 //! crate provides:
 //!
-//! * [`fptree`] / [`fpgrowth`] — an FP-tree and the FP-growth algorithm,
-//!   the paper-faithful pattern-growth miner;
-//! * [`eclat`] — a vertical (tidset-bitset) DFS miner used as the workhorse
-//!   and as an independent implementation for cross-checking;
-//! * [`closed`] — FPClose/CHARM-style **closed** itemset mining: DFS with
-//!   full-support closure merging plus an exact subsumption post-filter;
-//! * [`apriori`] — the classic level-wise baseline (ablation + testing);
-//! * [`nodeset`] — PPC-tree (Diff)Nodeset mining (the `dfp-nodeset`
-//!   engine behind a uniform adapter): the fastest backend on dense data;
+//! * [`closed`] — the closed-set miner behind feature generation: a vertical
+//!   search that decides closedness as it goes (prefix-preserving closure
+//!   extension, LCM-style), so each closed set is emitted once;
+//! * [`eclat`] — a vertical (tidset) DFS miner of *all* frequent sets, the
+//!   ablation backend and an independent cross-check;
+//! * [`apriori`] — the classic level-wise miner, kept as a test oracle;
 //! * [`count`] — counting-only enumeration with an abort cap, used by the
 //!   scalability tables to reproduce the paper's "min_sup = 1 cannot
 //!   complete" rows;
@@ -34,10 +31,7 @@ pub mod apriori;
 pub mod closed;
 pub mod count;
 pub mod eclat;
-pub mod fpgrowth;
-pub mod fptree;
 pub mod memo;
-pub mod nodeset;
 pub mod pattern;
 pub mod per_class;
 pub mod reference;

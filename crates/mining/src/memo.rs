@@ -101,10 +101,7 @@ struct Key {
 fn miner_tag(kind: MinerKind) -> u8 {
     match kind {
         MinerKind::Closed => 0,
-        MinerKind::FpGrowth => 1,
-        MinerKind::Eclat => 2,
-        MinerKind::Apriori => 3,
-        MinerKind::Nodeset => 4,
+        MinerKind::Eclat => 1,
     }
 }
 

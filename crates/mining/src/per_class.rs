@@ -11,90 +11,19 @@
 
 use crate::anytime::{Mined, StopReason};
 use crate::count::attach_class_supports;
-use crate::{
-    apriori, closed, eclat, fpgrowth, nodeset, MineOptions, MinedPattern, MiningError, RawPattern,
-};
+use crate::{closed, eclat, MineOptions, MinedPattern, MiningError, RawPattern};
 use dfp_data::transactions::{Item, TransactionSet};
 use std::collections::HashSet;
 
 /// Which mining algorithm feature generation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MinerKind {
-    /// Closed-set miner (the paper's choice — FPClose-style).
+    /// Closed sets only (the paper's choice).
     #[default]
     Closed,
-    /// All frequent sets via FP-growth.
-    FpGrowth,
-    /// All frequent sets via vertical DFS (Eclat).
+    /// All frequent sets via vertical DFS (Eclat) — the ablation that
+    /// keeps the non-closed patterns closed mining drops.
     Eclat,
-    /// All frequent sets via level-wise Apriori (ablation baseline).
-    Apriori,
-    /// All frequent sets via PPC-tree (Diff)Nodeset intersection — the
-    /// fastest backend on dense data (`dfp-nodeset`).
-    Nodeset,
-}
-
-impl MinerKind {
-    /// The accepted spellings, in `--miner` / `DFP_MINER` order.
-    pub const NAMES: [&'static str; 5] = ["closed", "fpgrowth", "eclat", "apriori", "nodeset"];
-
-    /// The canonical lowercase spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            MinerKind::Closed => "closed",
-            MinerKind::FpGrowth => "fpgrowth",
-            MinerKind::Eclat => "eclat",
-            MinerKind::Apriori => "apriori",
-            MinerKind::Nodeset => "nodeset",
-        }
-    }
-
-    /// Reads the `DFP_MINER` environment override: `Ok(None)` when unset
-    /// or blank, `Ok(Some(kind))` on a valid spelling, and the parse
-    /// error (naming the valid values) on anything else.
-    ///
-    /// Read fresh on every call — tests and long-lived processes may
-    /// change the variable between fits.
-    pub fn from_env() -> Result<Option<MinerKind>, String> {
-        match std::env::var("DFP_MINER") {
-            Err(_) => Ok(None),
-            Ok(v) if v.trim().is_empty() => Ok(None),
-            Ok(v) => v.parse().map(Some),
-        }
-    }
-
-    /// The miner defaults resolve to: a *valid* `DFP_MINER` value, else
-    /// [`MinerKind::Closed`] (the paper's choice). Invalid values fall
-    /// back silently here — surfaces that take user input (`--miner`,
-    /// the binaries' `DFP_MINER` checks) report the parse error loudly
-    /// instead.
-    pub fn env_default() -> MinerKind {
-        MinerKind::from_env().ok().flatten().unwrap_or_default()
-    }
-}
-
-impl std::fmt::Display for MinerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for MinerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "closed" => Ok(MinerKind::Closed),
-            "fpgrowth" | "fp-growth" | "growth" => Ok(MinerKind::FpGrowth),
-            "eclat" => Ok(MinerKind::Eclat),
-            "apriori" => Ok(MinerKind::Apriori),
-            "nodeset" | "diffnodeset" | "dfin" => Ok(MinerKind::Nodeset),
-            other => Err(format!(
-                "unknown miner '{other}' (valid miners: {})",
-                MinerKind::NAMES.join(", ")
-            )),
-        }
-    }
 }
 
 /// Configuration of the feature-generation step.
@@ -116,10 +45,7 @@ impl Default for MiningConfig {
     fn default() -> Self {
         MiningConfig {
             min_sup_rel: 0.1,
-            // Honors a valid `DFP_MINER` override so whole-pipeline runs
-            // can switch backends from the environment; explicit `miner:`
-            // assignments (as in the cross-backend tests) still win.
-            miner: MinerKind::env_default(),
+            miner: MinerKind::Closed,
             options: MineOptions::default(),
             per_class: true,
         }
@@ -153,10 +79,7 @@ fn run_miner_anytime(
 ) -> Result<Mined, MiningError> {
     crate::memo::mine_cached(kind, ts, min_sup, opts, || match kind {
         MinerKind::Closed => closed::mine_closed_anytime(ts, min_sup, opts),
-        MinerKind::FpGrowth => fpgrowth::mine_anytime(ts, min_sup, opts),
         MinerKind::Eclat => eclat::mine_anytime(ts, min_sup, opts),
-        MinerKind::Apriori => apriori::mine_anytime(ts, min_sup, opts),
-        MinerKind::Nodeset => nodeset::mine_anytime(ts, min_sup, opts),
     })
 }
 
@@ -344,25 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn all_miners_agree_on_feature_sets() {
-        let base = MiningConfig {
-            min_sup_rel: 0.5,
-            miner: MinerKind::FpGrowth,
-            options: MineOptions::default(),
-            per_class: true,
-        };
-        let fp = mine_features(&sample(), &base).unwrap();
-        for kind in [MinerKind::Eclat, MinerKind::Apriori] {
-            let cfg = MiningConfig {
-                miner: kind,
-                ..base.clone()
-            };
-            let other = mine_features(&sample(), &cfg).unwrap();
-            assert_eq!(fp, other, "{kind:?}");
-        }
-    }
-
-    #[test]
     fn closed_features_are_subset_of_frequent_features() {
         let all = mine_features(
             &sample(),
@@ -387,66 +291,6 @@ mod tests {
         for c in &closed {
             assert!(all_sets.contains(&c.items));
         }
-    }
-
-    #[test]
-    fn miner_kind_parses_every_canonical_name() {
-        for name in MinerKind::NAMES {
-            let kind: MinerKind = name.parse().unwrap();
-            assert_eq!(kind.name(), name);
-        }
-        assert_eq!("FP-Growth".parse::<MinerKind>(), Ok(MinerKind::FpGrowth));
-        assert_eq!(" dfin ".parse::<MinerKind>(), Ok(MinerKind::Nodeset));
-    }
-
-    #[test]
-    fn miner_kind_parse_error_names_the_valid_values() {
-        let err = "fpclose".parse::<MinerKind>().unwrap_err();
-        assert!(err.contains("unknown miner 'fpclose'"), "{err}");
-        for name in MinerKind::NAMES {
-            assert!(err.contains(name), "{err} missing {name}");
-        }
-    }
-
-    #[test]
-    fn env_override_parses_and_falls_back() {
-        // `DFP_MINER` is process-global; keep the window small and restore.
-        static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let saved = std::env::var("DFP_MINER").ok();
-        std::env::set_var("DFP_MINER", "eclat");
-        assert_eq!(MinerKind::from_env(), Ok(Some(MinerKind::Eclat)));
-        assert_eq!(MinerKind::env_default(), MinerKind::Eclat);
-        assert_eq!(MiningConfig::default().miner, MinerKind::Eclat);
-        std::env::set_var("DFP_MINER", "not-a-miner");
-        assert!(MinerKind::from_env().is_err());
-        assert_eq!(MinerKind::env_default(), MinerKind::Closed);
-        std::env::set_var("DFP_MINER", "  ");
-        assert_eq!(MinerKind::from_env(), Ok(None));
-        match saved {
-            Some(v) => std::env::set_var("DFP_MINER", v),
-            None => std::env::remove_var("DFP_MINER"),
-        }
-    }
-
-    #[test]
-    fn nodeset_agrees_with_the_other_miners_on_features() {
-        let base = MiningConfig {
-            min_sup_rel: 0.5,
-            miner: MinerKind::FpGrowth,
-            options: MineOptions::default(),
-            per_class: true,
-        };
-        let fp = mine_features(&sample(), &base).unwrap();
-        let nd = mine_features(
-            &sample(),
-            &MiningConfig {
-                miner: MinerKind::Nodeset,
-                ..base
-            },
-        )
-        .unwrap();
-        assert_eq!(fp, nd);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The `mining.nodeset` failpoint through this crate's nodeset adapter.
-//! The armed-site table is process-global, and the library's unit tests
-//! mine with the nodeset engine without a lock, so a site armed among them
-//! would fail them; this test runs in its own test binary instead.
+//! The `mining.closed` failpoint at the miner's entry. The armed-site table
+//! is process-global, and the library's unit tests mine closed sets without
+//! a lock, so a site armed among them would fail them; this test runs in
+//! its own test binary instead.
 
 use dfp_data::schema::ClassId;
 use dfp_data::transactions::{Item, TransactionSet};
-use dfp_mining::nodeset::{mine, mine_anytime};
+use dfp_mining::closed::{mine_closed, mine_closed_anytime};
 use dfp_mining::{MineOptions, MiningError, StopReason};
 
 /// One-class database over items 0..5.
@@ -23,12 +23,12 @@ fn classic() -> TransactionSet {
 
 #[test]
 fn injected_fault_degrades_anytime_and_fails_strict() {
-    dfp_fault::arm("mining.nodeset", dfp_fault::Action::Err);
-    let mined = mine_anytime(&classic(), 1, &MineOptions::default()).unwrap();
-    let strict = mine(&classic(), 1, &MineOptions::default());
-    dfp_fault::disarm("mining.nodeset");
+    dfp_fault::arm("mining.closed", dfp_fault::Action::Err);
+    let mined = mine_closed_anytime(&classic(), 1, &MineOptions::default()).unwrap();
+    let strict = mine_closed(&classic(), 1, &MineOptions::default());
+    dfp_fault::disarm("mining.closed");
     assert!(!mined.complete);
     assert_eq!(mined.stopped_by, Some(StopReason::Fault));
     assert!(mined.patterns.is_empty());
-    assert_eq!(strict.unwrap_err(), MiningError::Injected("mining.nodeset"));
+    assert_eq!(strict.unwrap_err(), MiningError::Injected("mining.closed"));
 }

@@ -2,9 +2,9 @@
 //!
 //! The workspace vendors every dependency and cannot take `rayon`, so this
 //! crate provides the minimal std-only substrate the pipeline's
-//! embarrassingly-parallel stages need: per-class mining, top-level
-//! FP-growth projections, the MMRFS tidset precompute, cross-validation
-//! folds, and batch prediction sharding.
+//! embarrassingly-parallel stages need: per-class mining, frequent-set
+//! counting, the MMRFS tidset precompute, cross-validation folds, and batch
+//! prediction sharding.
 //!
 //! ## Determinism contract
 //!
@@ -126,7 +126,7 @@ where
 /// Order-preserving parallel map with one logical task per item.
 ///
 /// Items are handed to workers dynamically, so wildly uneven per-item work
-/// (e.g. FP-growth conditional trees) balances itself. Use
+/// (e.g. per-class mining of unequal partitions) balances itself. Use
 /// [`par_chunks_map`] instead when per-item work is tiny and uniform.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where

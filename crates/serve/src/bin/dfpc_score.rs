@@ -11,12 +11,6 @@
 //! `--trace <path>` (or `DFP_TRACE=<path>`) writes the run's span tree as
 //! JSONL — one object per span — for `dfp-trace-check` or chrome://tracing.
 //!
-//! `--miner <closed|fpgrowth|eclat|apriori|nodeset>` validates the name and
-//! exports it as `DFP_MINER` for the process, the same selector the training
-//! tools honor. Scoring a fitted artifact never re-mines, so for this binary
-//! the flag is a guard: an invalid name fails fast here instead of silently
-//! falling back somewhere downstream.
-//!
 //! The input contains attribute columns only (no class column), in the
 //! model schema's order; `?` or an empty field marks a missing value.
 //! Remote scoring retries transient failures (connect errors, `5xx` load
@@ -46,13 +40,6 @@ fn main() -> ExitCode {
                 Some(Ok(n)) => retries = n,
                 _ => return usage("--retries expects a non-negative integer"),
             },
-            "--miner" => {
-                let name = args.next().unwrap_or_default();
-                match name.parse::<dfp_core::MinerKind>() {
-                    Ok(kind) => std::env::set_var("DFP_MINER", kind.name()),
-                    Err(err) => return usage(&format!("--miner: {err}")),
-                }
-            }
             "--help" | "-h" => return usage(""),
             other => return usage(&format!("unknown argument '{other}'")),
         }
@@ -200,7 +187,7 @@ fn usage(problem: &str) -> ExitCode {
         eprintln!("error: {problem}");
     }
     eprintln!(
-        "usage: dfpc-score --model <model.dfpm> --input <rows.csv> [--trace <spans.jsonl>] [--miner <name>]\n       dfpc-score --url <host:port> --input <rows.csv> [--retries <n>]"
+        "usage: dfpc-score --model <model.dfpm> --input <rows.csv> [--trace <spans.jsonl>]\n       dfpc-score --url <host:port> --input <rows.csv> [--retries <n>]"
     );
     if problem.is_empty() {
         ExitCode::SUCCESS

@@ -10,41 +10,26 @@
 //! `--trace <path>` (or `DFP_TRACE=<path>`) exports the run's span tree —
 //! per-stage fit timings, mining recursion, model save/load — as JSONL for
 //! `dfp-trace-check` or chrome://tracing.
-//!
-//! `--miner <closed|fpgrowth|eclat|apriori|nodeset>` (or `DFP_MINER=<name>`)
-//! picks the pattern-mining backend; the flag wins over the environment.
 
 use dfpc::core::{FrameworkConfig, PatternClassifier};
 use dfpc::data::split::stratified_holdout;
 use dfpc::data::synth::profile_by_name;
-use dfpc::mining::MinerKind;
 
 fn main() {
     let mut trace_path = None;
     let mut save_path = None;
     let mut rows_path = None;
-    let mut miner: Option<MinerKind> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--trace" => trace_path = args.next(),
             "--save" => save_path = args.next(),
             "--emit-rows" => rows_path = args.next(),
-            "--miner" => {
-                let name = args.next().unwrap_or_default();
-                match name.parse::<MinerKind>() {
-                    Ok(kind) => miner = Some(kind),
-                    Err(err) => {
-                        eprintln!("--miner: {err}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             other => {
                 eprintln!(
                     "unknown argument '{other}'; usage: quickstart \
                      [--trace <spans.jsonl>] [--save <model.dfpm>] \
-                     [--emit-rows <rows.csv>] [--miner <name>]"
+                     [--emit-rows <rows.csv>]"
                 );
                 std::process::exit(2);
             }
@@ -70,12 +55,8 @@ fn main() {
     let test = data.subset(&fold.test);
 
     // Pat_FS: discretize (MDL) → itemize → mine patterns per class →
-    // MMRFS selection → linear SVM on I ∪ Fs. The default backend is the
-    // paper's closed miner unless `--miner`/`DFP_MINER` picks another.
-    let mut config = FrameworkConfig::pat_fs();
-    if let Some(kind) = miner {
-        config = config.with_miner(kind);
-    }
+    // MMRFS selection → linear SVM on I ∪ Fs.
+    let config = FrameworkConfig::pat_fs();
     let model = PatternClassifier::fit(&train, &config).expect("training succeeds");
 
     let info = model.info();

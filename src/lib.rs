@@ -6,10 +6,9 @@
 //!
 //! * [`data`] — datasets, discretization, transactions, synthetic UCI
 //!   profiles, cross-validation splits;
-//! * [`mining`] — FP-growth and FPClose-style closed-itemset mining,
-//!   Apriori baseline, per-class pattern generation;
-//! * [`nodeset`] — the PPC-tree (Diff)Nodeset mining engine: the fastest
-//!   backend on dense data (`DFP_MINER=nodeset` or `MinerKind::Nodeset`);
+//! * [`mining`] — closed-itemset mining by prefix-preserving closure
+//!   extension, Eclat, per-class pattern generation, and the Apriori and
+//!   brute-force test oracles;
 //! * [`measures`] — information gain, Fisher score, their theoretical
 //!   support-dependent upper bounds, and the paper's `min_sup` strategy;
 //! * [`select`] — the MMRFS feature-selection algorithm plus baselines and
@@ -57,7 +56,6 @@ pub use dfp_fault as fault;
 pub use dfp_measures as measures;
 pub use dfp_mining as mining;
 pub use dfp_model as model;
-pub use dfp_nodeset as nodeset;
 pub use dfp_obs as obs;
 pub use dfp_par as par;
 pub use dfp_registry as registry;

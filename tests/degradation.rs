@@ -93,45 +93,6 @@ fn zero_deadline_degrades_instead_of_failing() {
 }
 
 #[test]
-fn nodeset_fault_degrades_anytime_fit_to_partial() {
-    let data = planted();
-    let cfg = FrameworkConfig::pat_all()
-        .with_miner(dfpc::core::MinerKind::Nodeset)
-        .with_anytime_mining(true);
-
-    // The failpoint site is registered, so the CI fault matrix can arm it.
-    assert!(
-        dfpc::fault::REGISTRY
-            .iter()
-            .any(|(site, _)| *site == "mining.nodeset"),
-        "mining.nodeset missing from the failpoint registry"
-    );
-
-    dfpc::fault::arm("mining.nodeset", dfpc::fault::Action::Err);
-    let fitted = PatternClassifier::fit(&data, &cfg);
-    dfpc::fault::disarm("mining.nodeset");
-
-    // Anytime path: the injected fault yields a *partial* mining result
-    // (complete = false, stopped_by = Fault), not a failed fit — items
-    // still carry the model.
-    let fitted = fitted.expect("anytime fit degrades instead of failing");
-    let report = fitted.degradation();
-    assert!(report.is_degraded());
-    assert!(!report.mining_complete);
-    assert_eq!(report.mining_stopped_by, Some(StopReason::Fault));
-    assert!(fitted.accuracy(&data) > 0.5);
-
-    // Strict mode with the same armed site fails loudly instead.
-    dfpc::fault::arm("mining.nodeset", dfpc::fault::Action::Err);
-    let strict = PatternClassifier::fit(
-        &data,
-        &FrameworkConfig::pat_all().with_miner(dfpc::core::MinerKind::Nodeset),
-    );
-    dfpc::fault::disarm("mining.nodeset");
-    assert!(strict.is_err());
-}
-
-#[test]
 fn degradation_report_is_not_persisted() {
     // The report is a fit-time diagnostic: a round-tripped artifact comes
     // back undegraded (the model itself is already truncated-but-valid).

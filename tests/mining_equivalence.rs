@@ -1,12 +1,13 @@
-//! Property tests: the five miners agree with each other and with a
-//! brute-force reference on random transaction databases, and the closed-set
-//! invariants of §3.3 hold.
+//! Property tests: the miners agree with each other and with a brute-force
+//! reference on random transaction databases, and the closed-set invariants
+//! of §3.3 hold — at the pipeline's `min_len` of 2 and under a pattern
+//! budget too.
 
 use dfpc::data::schema::ClassId;
 use dfpc::data::transactions::{contains_sorted, Item, TransactionSet};
 use dfpc::mining::pattern::sort_canonical;
 use dfpc::mining::reference::{mine_brute_force, mine_closed_brute_force};
-use dfpc::mining::{apriori, closed, count, eclat, fpgrowth, nodeset, MineOptions};
+use dfpc::mining::{apriori, closed, count, eclat, MineOptions};
 use proptest::prelude::*;
 
 /// Strategy: a random database of up to 12 transactions over up to 8 items.
@@ -35,9 +36,7 @@ proptest! {
         let opts = MineOptions::default();
         for (name, got) in [
             ("eclat", eclat::mine(&ts, min_sup, &opts).unwrap()),
-            ("fpgrowth", fpgrowth::mine(&ts, min_sup, &opts).unwrap()),
             ("apriori", apriori::mine(&ts, min_sup, &opts).unwrap()),
-            ("nodeset", nodeset::mine(&ts, min_sup, &opts).unwrap()),
         ] {
             let mut got = got;
             sort_canonical(&mut got);
@@ -51,6 +50,39 @@ proptest! {
         sort_canonical(&mut got);
         let want = mine_closed_brute_force(&ts, min_sup, None);
         prop_assert_eq!(got, want);
+    }
+
+    /// The pipeline mines at `min_len` 2: the closed sets of length ≥ 2,
+    /// no more and no fewer.
+    #[test]
+    fn closed_miner_at_min_len_2_equals_brute_force(ts in random_db(), min_sup in 1usize..5) {
+        let opts = MineOptions::default().with_min_len(2);
+        let mut got = closed::mine_closed(&ts, min_sup, &opts).unwrap();
+        sort_canonical(&mut got);
+        let mut want = mine_closed_brute_force(&ts, min_sup, None);
+        want.retain(|p| p.len() >= 2);
+        prop_assert_eq!(got, want);
+    }
+
+    /// A budget-stopped run keeps at most `max_patterns` sets, each closed in
+    /// the full database with its exact support, and it is complete exactly
+    /// when the budget covers every closed set.
+    #[test]
+    fn budget_stopped_closed_sets_are_closed_and_exact(
+        ts in random_db(),
+        min_sup in 1usize..4,
+        min_len in 1usize..3,
+        budget in 1u64..40,
+    ) {
+        let mut all = mine_closed_brute_force(&ts, min_sup, None);
+        all.retain(|p| p.len() >= min_len);
+        let opts = MineOptions::default().with_min_len(min_len).with_max_patterns(budget);
+        let mined = closed::mine_closed_anytime(&ts, min_sup, &opts).unwrap();
+        prop_assert_eq!(mined.complete, all.len() as u64 <= budget);
+        prop_assert_eq!(mined.patterns.len() as u64, budget.min(all.len() as u64));
+        for p in &mined.patterns {
+            prop_assert!(all.contains(p), "{:?} (support {}) is not closed", p.items, p.support);
+        }
     }
 
     #[test]
@@ -94,9 +126,6 @@ proptest! {
     #[test]
     fn supports_are_exact(ts in random_db(), min_sup in 1usize..4) {
         for p in eclat::mine(&ts, min_sup, &MineOptions::default()).unwrap() {
-            prop_assert_eq!(p.support as usize, ts.support(&p.items));
-        }
-        for p in nodeset::mine(&ts, min_sup, &MineOptions::default()).unwrap() {
             prop_assert_eq!(p.support as usize, ts.support(&p.items));
         }
         for p in closed::mine_closed(&ts, min_sup, &MineOptions::default()).unwrap() {

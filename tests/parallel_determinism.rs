@@ -84,13 +84,7 @@ proptest! {
     #[test]
     fn miners_identical_across_thread_counts(ts in random_labelled_db()) {
         let _guard = lock_env();
-        for kind in [
-            MinerKind::Closed,
-            MinerKind::FpGrowth,
-            MinerKind::Eclat,
-            MinerKind::Apriori,
-            MinerKind::Nodeset,
-        ] {
+        for kind in [MinerKind::Closed, MinerKind::Eclat] {
             let cfg = MiningConfig {
                 miner: kind,
                 ..MiningConfig::with_min_sup(0.2)
@@ -133,13 +127,7 @@ proptest! {
         budget in 1u64..40,
     ) {
         let _guard = lock_env();
-        for kind in [
-            MinerKind::Closed,
-            MinerKind::FpGrowth,
-            MinerKind::Eclat,
-            MinerKind::Apriori,
-            MinerKind::Nodeset,
-        ] {
+        for kind in [MinerKind::Closed, MinerKind::Eclat] {
             let mut cfg = MiningConfig {
                 miner: kind,
                 ..MiningConfig::with_min_sup(0.2)

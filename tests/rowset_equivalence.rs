@@ -6,14 +6,15 @@
 //! iteration — must return bit-identical results across all four
 //! dense/compressed operand pairings, on random densities and at the
 //! array↔bitmap container boundary (4096 set bits per 2^16-bit chunk).
-//! On top of the kernels, Eclat must emit byte-identical pattern streams
-//! under `DFP_BITSET=dense`, `compressed`, and `auto`.
+//! On top of the kernels, Eclat and the closed miner must emit
+//! byte-identical pattern streams under `DFP_BITSET=dense`, `compressed`,
+//! and `auto`.
 
 use dfpc::data::bitset::{scalar, Bitset};
 use dfpc::data::rowset::{set_mode_override, BitsetMode, CompressedBitmap, RowSet, ARRAY_MAX};
 use dfpc::data::schema::ClassId;
 use dfpc::data::transactions::{Item, TransactionSet};
-use dfpc::mining::{eclat, MineOptions};
+use dfpc::mining::{closed, eclat, MineOptions};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -184,22 +185,32 @@ fn synthetic_db(n_rows: usize, n_attrs: usize, arity: u32) -> TransactionSet {
     TransactionSet::new(n_attrs * arity as usize, 2, rows, labels)
 }
 
-/// Eclat emits the identical pattern stream — same order, same supports —
-/// under all three `DFP_BITSET` modes.
+/// Eclat and the closed miner each emit the identical pattern stream —
+/// same order, same supports — under all three `DFP_BITSET` modes.
 #[test]
 fn eclat_identical_across_modes() {
     let _guard = MODE_LOCK.lock().unwrap();
     let ts = synthetic_db(4000, 10, 4);
     let min_sup = ts.len() / 5;
-    let mut results = Vec::new();
-    for mode in [BitsetMode::Dense, BitsetMode::Compressed, BitsetMode::Auto] {
-        set_mode_override(Some(mode));
-        results.push(eclat::mine(&ts, min_sup, &MineOptions::default()).unwrap());
+    let opts = MineOptions::default();
+    for name in ["eclat", "closed"] {
+        let mut results = Vec::new();
+        for mode in [BitsetMode::Dense, BitsetMode::Compressed, BitsetMode::Auto] {
+            set_mode_override(Some(mode));
+            let mined = match name {
+                "eclat" => eclat::mine(&ts, min_sup, &opts),
+                _ => closed::mine_closed(&ts, min_sup, &opts),
+            };
+            results.push(mined.unwrap());
+        }
+        set_mode_override(None);
+        assert!(
+            !results[0].is_empty(),
+            "degenerate test: {name} mined nothing"
+        );
+        assert_eq!(results[0], results[1], "{name}: dense vs compressed");
+        assert_eq!(results[0], results[2], "{name}: dense vs auto");
     }
-    set_mode_override(None);
-    assert!(!results[0].is_empty(), "degenerate test: nothing mined");
-    assert_eq!(results[0], results[1], "dense vs compressed");
-    assert_eq!(results[0], results[2], "dense vs auto");
 }
 
 /// Class-support attachment (batched scan) is mode-invariant too.
