@@ -69,13 +69,24 @@ impl Classifier for TrainedModel {
         }
     }
 
-    /// Rows are scored independently, so batch scoring (`dfpc-score`, the
-    /// `/predict` endpoint, CV evaluation) shards them across workers.
+    /// Batch scoring (`dfpc-score`, the `/predict` endpoint, CV
+    /// evaluation). A linear-SVM, C4.5 or naive-Bayes row costs well under
+    /// a microsecond, less than starting a worker, so those batches run in
+    /// a plain loop on the calling thread. A kernel-SVM or kNN row
+    /// costs time that grows with the training set, so those batches shard
+    /// across workers.
     fn predict_batch(&self, rows: &[Vec<u32>]) -> Vec<ClassId> {
         let mut sp = dfp_obs::span("pipeline.predict_batch");
         sp.attr("rows", rows.len());
         let start = Instant::now();
-        let out = dfp_par::par_chunks_map(rows, 256, |r| self.predict(r));
+        let out = match self {
+            TrainedModel::Linear(m) => m.predict_batch(rows),
+            TrainedModel::Tree(m) => m.predict_batch(rows),
+            TrainedModel::Nb(m) => m.predict_batch(rows),
+            TrainedModel::Kernel(_) | TrainedModel::Knn(_) => {
+                dfp_par::par_chunks_map(rows, 256, |r| self.predict(r))
+            }
+        };
         predict_stage_hist().observe(start.elapsed());
         out
     }

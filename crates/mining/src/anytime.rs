@@ -31,8 +31,8 @@ pub enum StopReason {
     PatternBudget,
     /// `opts.deadline` passed.
     Deadline,
-    /// A `dfp-fault` failpoint injected a failure.
-    Fault,
+    /// The `dfp-fault` failpoint at this site injected a failure.
+    Fault(&'static str),
 }
 
 impl std::fmt::Display for StopReason {
@@ -40,7 +40,19 @@ impl std::fmt::Display for StopReason {
         match self {
             StopReason::PatternBudget => write!(f, "pattern budget"),
             StopReason::Deadline => write!(f, "deadline"),
-            StopReason::Fault => write!(f, "injected fault"),
+            StopReason::Fault(site) => write!(f, "injected fault at {site}"),
+        }
+    }
+}
+
+impl StopReason {
+    /// The strict APIs' error for this stop: a hit pattern budget (`limit`)
+    /// or deadline, or an injected fault at the site that fired.
+    pub(crate) fn into_error(self, limit: u64) -> MiningError {
+        match self {
+            StopReason::PatternBudget => MiningError::PatternLimitExceeded { limit },
+            StopReason::Deadline => MiningError::DeadlineExceeded,
+            StopReason::Fault(site) => MiningError::Injected(site),
         }
     }
 }
@@ -93,20 +105,11 @@ pub(crate) fn check_stop(n_emitted: usize, opts: &MineOptions) -> Result<(), Sto
 }
 
 /// Converts an anytime result into the strict API's outcome: incomplete
-/// results become the corresponding [`MiningError`] (`site` names the
-/// failpoint for injected faults).
-pub(crate) fn strict(
-    mined: Mined,
-    opts: &MineOptions,
-    site: &'static str,
-) -> Result<Vec<RawPattern>, MiningError> {
+/// results become the corresponding [`MiningError`].
+pub(crate) fn strict(mined: Mined, opts: &MineOptions) -> Result<Vec<RawPattern>, MiningError> {
     match mined.stopped_by {
         None => Ok(mined.patterns),
-        Some(StopReason::PatternBudget) => Err(MiningError::PatternLimitExceeded {
-            limit: opts.max_patterns.unwrap_or(0),
-        }),
-        Some(StopReason::Deadline) => Err(MiningError::DeadlineExceeded),
-        Some(StopReason::Fault) => Err(MiningError::Injected(site)),
+        Some(reason) => Err(reason.into_error(opts.max_patterns.unwrap_or(0))),
     }
 }
 

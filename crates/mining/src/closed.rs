@@ -42,11 +42,7 @@ pub fn mine_closed(
     min_sup: usize,
     opts: &MineOptions,
 ) -> Result<Vec<RawPattern>, MiningError> {
-    anytime::strict(
-        mine_closed_anytime(ts, min_sup, opts)?,
-        opts,
-        "mining.closed",
-    )
+    anytime::strict(mine_closed_anytime(ts, min_sup, opts)?, opts)
 }
 
 /// Anytime variant of [`mine_closed`]: the budget and the deadline stop the
@@ -64,7 +60,10 @@ pub fn mine_closed_anytime(
     }
     let mut sp = dfp_obs::span("mine.closed");
     if let Some(dfp_fault::Action::Err) = dfp_fault::evaluate("mining.closed") {
-        return Ok(Mined::stopped(Vec::new(), StopReason::Fault));
+        return Ok(Mined::stopped(
+            Vec::new(),
+            StopReason::Fault("mining.closed"),
+        ));
     }
     let frequent: Vec<(Item, RowSet)> = ts
         .vertical_rowsets()

@@ -41,9 +41,7 @@ pub fn count_frequent(
     let counted = count_frequent_anytime(ts, min_sup, budget, None)?;
     match counted.stopped_by {
         None => Ok(counted.count),
-        Some(StopReason::PatternBudget) => Err(MiningError::PatternLimitExceeded { limit: budget }),
-        Some(StopReason::Fault) => Err(MiningError::Injected("mining.count")),
-        Some(StopReason::Deadline) => Err(MiningError::DeadlineExceeded),
+        Some(reason) => Err(reason.into_error(budget)),
     }
 }
 
@@ -67,7 +65,7 @@ pub fn count_frequent_anytime(
         return Ok(Counted {
             count: 0,
             complete: false,
-            stopped_by: Some(StopReason::Fault),
+            stopped_by: Some(StopReason::Fault("mining.count")),
         });
     }
     let vertical = ts.vertical();

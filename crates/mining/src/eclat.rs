@@ -27,7 +27,7 @@ pub fn mine(
     min_sup: usize,
     opts: &MineOptions,
 ) -> Result<Vec<RawPattern>, MiningError> {
-    anytime::strict(mine_anytime(ts, min_sup, opts)?, opts, "mining.eclat")
+    anytime::strict(mine_anytime(ts, min_sup, opts)?, opts)
 }
 
 /// Anytime variant of [`mine`]: the pattern budget and deadline stop the

@@ -102,7 +102,8 @@ pub struct MinedFeatures {
 /// partition they were discovered in.
 ///
 /// Strict counterpart of [`mine_features_anytime`]: a budget, deadline, or
-/// fault stop in any partition becomes an error.
+/// fault stop in any partition becomes an error; a fault names the
+/// failpoint that fired (`mining.per_class` or the miner's own site).
 pub fn mine_features(
     ts: &TransactionSet,
     cfg: &MiningConfig,
@@ -110,11 +111,7 @@ pub fn mine_features(
     let feats = mine_features_anytime(ts, cfg)?;
     match feats.stopped_by {
         None => Ok(feats.patterns),
-        Some(StopReason::PatternBudget) => Err(MiningError::PatternLimitExceeded {
-            limit: cfg.options.max_patterns.unwrap_or(0),
-        }),
-        Some(StopReason::Deadline) => Err(MiningError::DeadlineExceeded),
-        Some(StopReason::Fault) => Err(MiningError::Injected("mining.per_class")),
+        Some(reason) => Err(reason.into_error(cfg.options.max_patterns.unwrap_or(0))),
     }
 }
 
@@ -132,7 +129,7 @@ pub fn mine_features_anytime(
         return Ok(MinedFeatures {
             patterns: Vec::new(),
             complete: false,
-            stopped_by: Some(StopReason::Fault),
+            stopped_by: Some(StopReason::Fault("mining.per_class")),
         });
     }
     let mut merged: Vec<Vec<Item>> = Vec::new();

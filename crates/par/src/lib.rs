@@ -3,8 +3,8 @@
 //! The workspace vendors every dependency and cannot take `rayon`, so this
 //! crate provides the minimal std-only substrate the pipeline's
 //! embarrassingly-parallel stages need: per-class mining, frequent-set
-//! counting, the MMRFS tidset precompute, cross-validation folds, and batch
-//! prediction sharding.
+//! counting, the MMRFS tidset precompute, cross-validation folds, and
+//! kernel-SVM and kNN batch prediction.
 //!
 //! ## Determinism contract
 //!
@@ -24,7 +24,8 @@
 //! 1. an explicit caller-provided count wins;
 //! 2. else the `DFP_THREADS` environment variable (a positive integer;
 //!    `DFP_THREADS=1` forces the sequential path everywhere);
-//! 3. else [`std::thread::available_parallelism`].
+//! 3. else [`std::thread::available_parallelism`], read once per process
+//!    (std re-reads the cgroup limits on every call).
 //!
 //! ## Nesting
 //!
@@ -39,7 +40,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// `true` on dfp-par worker threads: nested combinators run sequentially.
@@ -50,7 +51,9 @@ thread_local! {
 /// [`std::thread::available_parallelism`]; always at least 1.
 ///
 /// This is the workspace-wide single source of truth — `dfp-serve`'s worker
-/// pool and every parallel stage size themselves through it.
+/// pool and every parallel stage size themselves through it. `DFP_THREADS`
+/// is read on every call, so a value set at run time takes effect; the host
+/// count is read once.
 pub fn resolve_workers(explicit: Option<usize>) -> usize {
     if let Some(n) = explicit {
         return n.max(1);
@@ -62,7 +65,8 @@ pub fn resolve_workers(explicit: Option<usize>) -> usize {
             }
         }
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The ambient worker count: `resolve_workers(None)`.
@@ -145,8 +149,8 @@ where
 ///
 /// Inputs shorter than `min_chunk` (and nested calls) run sequentially;
 /// larger ones split into at most `4 × workers` chunks scheduled
-/// dynamically. Made for uniform per-element work: MMRFS tidsets, batch
-/// prediction rows.
+/// dynamically. Made for uniform per-element work that is worth a thread:
+/// MMRFS tidsets, kernel-SVM and kNN batch prediction rows.
 pub fn par_chunks_map<T, R, F>(items: &[T], min_chunk: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -211,10 +215,13 @@ mod tests {
             assert_eq!(resolve_workers(Some(7)), 7);
             assert_eq!(resolve_workers(Some(0)), 1);
         });
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
         with_threads("0", || {
             // invalid value falls through to available_parallelism
-            assert!(resolve_workers(None) >= 1);
+            assert_eq!(resolve_workers(None), host);
         });
+        // The host count is cached; DFP_THREADS is still read on every call.
+        with_threads("5", || assert_eq!(resolve_workers(None), 5));
         with_threads("not-a-number", || {
             assert!(resolve_workers(None) >= 1);
         });

@@ -1,7 +1,8 @@
 //! The feature-space transform `D → D'` (paper §2): the dataset is mapped
 //! into `B^{d'}` over features `I ∪ Fs` — every single item plus every
 //! selected pattern. A pattern feature fires on a transaction that contains
-//! all of the pattern's items.
+//! all of the pattern's items; [`FeatureSpace::transform`] tests that with
+//! item-bitset masks.
 //!
 //! Two layouts exist:
 //! * **items + patterns** ([`FeatureSpace::new`]) — the paper's `Pat_All` /
@@ -12,7 +13,7 @@
 //!   (any length, including single items) is kept.
 
 use dfp_data::features::SparseBinaryMatrix;
-use dfp_data::transactions::{contains_sorted, Item, TransactionSet};
+use dfp_data::transactions::{Item, TransactionSet};
 use dfp_mining::MinedPattern;
 
 /// A fitted feature space over an item universe plus pattern features.
@@ -89,6 +90,12 @@ impl FeatureSpace {
     /// Transforms a transaction database (train or test) into the extended
     /// sparse binary representation.
     ///
+    /// The patterns are compiled once per call into masks over an item
+    /// bitset of `⌈n_items/64⌉` words. Each transaction sets its item bits,
+    /// emits every pattern whose mask is fully present (one AND-compare per
+    /// word the pattern touches), then clears its bits again, so a row costs
+    /// its item count plus the masks' word count.
+    ///
     /// # Panics
     /// Panics if `ts` has more items than the fitted space.
     pub fn transform(&self, ts: &TransactionSet) -> SparseBinaryMatrix {
@@ -103,6 +110,8 @@ impl FeatureSpace {
         } else {
             0
         };
+        let masks = PatternMasks::compile(&self.patterns, ts.n_items(), offset);
+        let mut present = vec![0u64; ts.n_items().div_ceil(64)];
         let rows: Vec<Vec<u32>> = ts
             .transactions()
             .iter()
@@ -112,10 +121,12 @@ impl FeatureSpace {
                 } else {
                     Vec::new()
                 };
-                for (k, p) in self.patterns.iter().enumerate() {
-                    if contains_sorted(tx, p) {
-                        row.push((offset + k) as u32);
-                    }
+                for i in tx {
+                    present[i.index() / 64] |= 1 << (i.index() % 64);
+                }
+                masks.fire(&present, &mut row);
+                for i in tx {
+                    present[i.index() / 64] = 0;
                 }
                 row
             })
@@ -126,6 +137,61 @@ impl FeatureSpace {
             ts.labels().to_vec(),
             self.n_classes,
         )
+    }
+}
+
+/// Pattern features compiled to masks over an item bitset (item `i` is bit
+/// `i % 64` of word `i / 64`): each pattern keeps one `(word, bits)` pair per
+/// word its items touch, and fires on a transaction whose bitset has all of
+/// those bits set.
+struct PatternMasks {
+    /// Every pattern's `(word, bits)` pairs, pattern after pattern.
+    words: Vec<(usize, u64)>,
+    /// `(feature id, end)` per pattern, in feature-id order: the pattern's
+    /// pairs are `words[previous end..end]`.
+    patterns: Vec<(u32, usize)>,
+}
+
+impl PatternMasks {
+    /// Compiles `patterns` (feature ids from `offset`) for transactions over
+    /// `n_items` items. A pattern naming an item outside that universe is
+    /// left out: no transaction can contain it.
+    fn compile(patterns: &[Vec<Item>], n_items: usize, offset: usize) -> Self {
+        let mut words: Vec<(usize, u64)> = Vec::new();
+        let mut compiled = Vec::with_capacity(patterns.len());
+        for (k, p) in patterns.iter().enumerate() {
+            if p.iter().any(|i| i.index() >= n_items) {
+                continue;
+            }
+            let start = words.len();
+            for i in p {
+                let (w, bit) = (i.index() / 64, 1u64 << (i.index() % 64));
+                match words[start..].last_mut() {
+                    Some((last, bits)) if *last == w => *bits |= bit,
+                    _ => words.push((w, bit)),
+                }
+            }
+            compiled.push(((offset + k) as u32, words.len()));
+        }
+        PatternMasks {
+            words,
+            patterns: compiled,
+        }
+    }
+
+    /// Appends, in id order, the feature id of every pattern whose items are
+    /// all set in `present`.
+    fn fire(&self, present: &[u64], row: &mut Vec<u32>) {
+        let mut start = 0;
+        for &(id, end) in &self.patterns {
+            if self.words[start..end]
+                .iter()
+                .all(|&(w, bits)| present[w] & bits == bits)
+            {
+                row.push(id);
+            }
+            start = end;
+        }
     }
 }
 
@@ -211,6 +277,14 @@ mod tests {
         );
         let m = fs.transform(&test);
         assert_eq!(m.rows[0], vec![0, 1, 3, 4]);
+    }
+
+    #[test]
+    fn patterns_beyond_a_narrower_universe_never_fire() {
+        // Fitted on 130 items, applied to data itemized over 64.
+        let fs = FeatureSpace::new(130, 2, &[pat(&[1, 2]), pat(&[2, 100])]);
+        let test = TransactionSet::new(64, 2, vec![vec![Item(1), Item(2)]], vec![ClassId(0)]);
+        assert_eq!(fs.transform(&test).rows[0], vec![1, 2, 130]);
     }
 
     #[test]

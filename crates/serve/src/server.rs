@@ -636,7 +636,7 @@ fn route(
                 if report.is_degraded() {
                     let why = report
                         .mining_stopped_by
-                        .map(|r| format!("{r:?}"))
+                        .map(|r| r.to_string())
                         .unwrap_or_else(|| "unknown".to_string());
                     (
                         200,

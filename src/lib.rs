@@ -26,7 +26,8 @@
 //! * [`obs`] — structured tracing spans (`DFP_TRACE`), the unified metrics
 //!   registry behind `/metrics`, and JSONL event logging (`DFP_LOG`);
 //! * [`par`] — the std-only scoped-thread parallel runtime behind mining,
-//!   MMRFS, cross-validation, and batch scoring (`DFP_THREADS` to pin);
+//!   MMRFS, cross-validation, and kernel-SVM and kNN batch scoring
+//!   (`DFP_THREADS` to pin);
 //! * [`serve`] — a std-only threaded HTTP inference server and batch scorer
 //!   over saved artifacts (binaries `dfp-serve` and `dfpc-score`).
 //!

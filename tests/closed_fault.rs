@@ -5,9 +5,9 @@
 //! through this site, so a site armed here would fail the unlocked fits of
 //! the other suites; this test runs in its own test binary instead.
 
-use dfpc::core::{FrameworkConfig, PatternClassifier};
+use dfpc::core::{FrameworkConfig, FrameworkError, PatternClassifier};
 use dfpc::data::dataset::{categorical_dataset, Dataset};
-use dfpc::mining::StopReason;
+use dfpc::mining::{MiningError, StopReason};
 
 /// Planted two-class data: the pair (a0=1, a1=1) marks class 0 and
 /// (a0=1, a1=2) marks class 1; a2 is noise.
@@ -43,18 +43,24 @@ fn closed_fault_degrades_anytime_fit_to_partial() {
     dfpc::fault::disarm("mining.closed");
 
     // Anytime path: the injected fault yields a *partial* mining result
-    // (complete = false, stopped_by = Fault), not a failed fit — items
-    // still carry the model.
+    // (complete = false, stopped_by = Fault("mining.closed")), not a failed
+    // fit — items still carry the model.
     let fitted = fitted.expect("anytime fit degrades instead of failing");
     let report = fitted.degradation();
     assert!(report.is_degraded());
     assert!(!report.mining_complete);
-    assert_eq!(report.mining_stopped_by, Some(StopReason::Fault));
+    assert_eq!(
+        report.mining_stopped_by,
+        Some(StopReason::Fault("mining.closed"))
+    );
     assert!(fitted.accuracy(&data) > 0.5);
 
     // Strict mode with the same armed site fails loudly instead.
     dfpc::fault::arm("mining.closed", dfpc::fault::Action::Err);
     let strict = PatternClassifier::fit(&data, &FrameworkConfig::pat_all());
     dfpc::fault::disarm("mining.closed");
-    assert!(strict.is_err());
+    assert_eq!(
+        strict.unwrap_err(),
+        FrameworkError::Mining(MiningError::Injected("mining.closed"))
+    );
 }

@@ -4,9 +4,10 @@
 //! accuracies, and batch predictions.
 
 use dfpc::classify::cv::cross_validate;
-use dfpc::classify::svm::{LinearSvm, LinearSvmParams};
+use dfpc::classify::svm::{KernelSvmParams, LinearSvm, LinearSvmParams};
+use dfpc::classify::tree::C45Params;
 use dfpc::classify::Classifier;
-use dfpc::core::{cross_validate_framework, FrameworkConfig, PatternClassifier};
+use dfpc::core::{cross_validate_framework, FrameworkConfig, ModelKind, PatternClassifier};
 use dfpc::data::dataset::{categorical_dataset, Dataset};
 use dfpc::data::features::SparseBinaryMatrix;
 use dfpc::data::schema::ClassId;
@@ -193,19 +194,45 @@ fn inner_cv_identical_across_thread_counts() {
     assert_eq!(seq_bits, par_bits);
 }
 
+/// `TrainedModel::predict_batch` shards only batches longer than its
+/// 256-row chunk, so the batch here holds 1100 rows: at 4 threads the kernel
+/// SVM and kNN split it across workers, and the other three models score it
+/// on the calling thread. Each model kind must match per-row `predict` at 1
+/// and 4 threads.
 #[test]
 fn predict_batch_identical_and_matches_per_row() {
     let _guard = lock_env();
-    let data = confusable();
-    let model = PatternClassifier::fit(&data, &FrameworkConfig::pat_fs()).unwrap();
-    let matrix = model.transform(&data).unwrap();
-    let seq = with_threads(1, || model.model().predict_batch(&matrix.rows));
-    let par = with_threads(4, || model.model().predict_batch(&matrix.rows));
-    let per_row: Vec<ClassId> = matrix
-        .rows
-        .iter()
-        .map(|r| model.model().predict(r))
-        .collect();
-    assert_eq!(seq, par);
-    assert_eq!(seq, per_row);
+    let profile = dfpc::data::synth::profile_by_name("austral").unwrap();
+    let data = dfpc::data::synth::UciProfile {
+        n_instances: 1100,
+        ..profile
+    }
+    .generate();
+    let train = data.subset(&(0..240).collect::<Vec<_>>());
+    let models = [
+        ModelKind::LinearSvm(LinearSvmParams::default()),
+        ModelKind::KernelSvm(KernelSvmParams::default()),
+        ModelKind::C45(C45Params::default()),
+        ModelKind::NaiveBayes,
+        ModelKind::Knn(3),
+    ];
+    for kind in models {
+        let cfg = FrameworkConfig::pat_fs().with_model(kind.clone());
+        let model = PatternClassifier::fit(&train, &cfg).unwrap();
+        let matrix = model.transform(&data).unwrap();
+        assert!(matrix.rows.len() >= 1024);
+        let per_row: Vec<ClassId> = matrix
+            .rows
+            .iter()
+            .map(|r| model.model().predict(r))
+            .collect();
+        assert!(
+            per_row.iter().any(|&c| c != per_row[0]),
+            "{kind:?} predicts one class for every row"
+        );
+        for threads in [1, 4] {
+            let batch = with_threads(threads, || model.model().predict_batch(&matrix.rows));
+            assert_eq!(batch, per_row, "{kind:?} at {threads} threads");
+        }
+    }
 }

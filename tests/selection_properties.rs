@@ -2,11 +2,12 @@
 //! transform, on random labelled databases.
 
 use dfpc::data::schema::ClassId;
-use dfpc::data::transactions::{Item, TransactionSet};
+use dfpc::data::transactions::{contains_sorted, Item, TransactionSet};
 use dfpc::measures::RelevanceMeasure;
-use dfpc::mining::{mine_features, MiningConfig};
+use dfpc::mining::{mine_features, MinedPattern, MiningConfig};
 use dfpc::select::{mmrfs, FeatureSpace, MmrfsConfig};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn random_labelled_db() -> impl Strategy<Value = TransactionSet> {
     let n_items = 6usize;
@@ -24,6 +25,111 @@ fn random_labelled_db() -> impl Strategy<Value = TransactionSet> {
             .unzip();
         TransactionSet::new(n_items, 2, transactions, labels)
     })
+}
+
+/// Items on either side of the 64-bit word boundaries of the transform's
+/// item bitset, plus the ends of the widest universe drawn below.
+const BOUNDARY_ITEMS: [u32; 6] = [0, 63, 64, 127, 128, 199];
+
+/// Drawn item sets, each with indices that add more items to it.
+type Draws = Vec<(BTreeSet<u32>, BTreeSet<usize>)>;
+
+/// A case for the compiled transform: a universe of 1–200 items, patterns
+/// made of random items plus boundary items, and rows made of random items
+/// plus whole patterns or patterns missing their last item (near misses).
+/// Items past the universe are folded into it.
+fn wide_transform_case() -> impl Strategy<Value = (usize, Draws, Draws)> {
+    (
+        1usize..=200,
+        prop::collection::vec(
+            (
+                prop::collection::btree_set(0u32..200, 0..=3),
+                prop::collection::btree_set(0usize..BOUNDARY_ITEMS.len(), 0..=3),
+            ),
+            0..=10,
+        ),
+        prop::collection::vec(
+            (
+                prop::collection::btree_set(0u32..200, 0..=16),
+                prop::collection::btree_set(0usize..20, 0..=3),
+            ),
+            0..=12,
+        ),
+    )
+}
+
+/// The transform's rows as the merge-walk subset test defines them.
+fn reference_rows(fs: &FeatureSpace, ts: &TransactionSet) -> Vec<Vec<u32>> {
+    let offset = if fs.include_all_items { fs.n_items } else { 0 };
+    ts.transactions()
+        .iter()
+        .map(|tx| {
+            let mut row: Vec<u32> = if fs.include_all_items {
+                tx.iter().map(|i| i.0).collect()
+            } else {
+                Vec::new()
+            };
+            row.extend(
+                (0..fs.patterns.len())
+                    .filter(|&k| contains_sorted(tx, &fs.patterns[k]))
+                    .map(|k| (offset + k) as u32),
+            );
+            row
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The compiled transform equals the `contains_sorted` reference across
+    /// 64-bit word boundaries, on empty rows, in both layouts and with no
+    /// patterns at all.
+    #[test]
+    fn compiled_transform_matches_merge_reference(case in wide_transform_case()) {
+        let (n_items, raw_patterns, raw_rows) = case;
+        let fold = |i: u32| i % n_items as u32;
+        let patterns: Vec<Vec<Item>> = raw_patterns
+            .iter()
+            .map(|(items, boundary)| {
+                let set: BTreeSet<u32> = items
+                    .iter()
+                    .map(|&i| fold(i))
+                    .chain(boundary.iter().map(|&b| BOUNDARY_ITEMS[b]).filter(|&b| (b as usize) < n_items))
+                    .collect();
+                set.into_iter().map(Item).collect()
+            })
+            .collect();
+        let mut rows: Vec<Vec<Item>> = raw_rows
+            .iter()
+            .map(|(items, picks)| {
+                let mut set: BTreeSet<u32> = items.iter().map(|&i| fold(i)).collect();
+                for &pick in picks {
+                    let Some(p) = patterns.get(pick % 10) else { continue };
+                    let keep = if pick >= 10 { p.len().saturating_sub(1) } else { p.len() };
+                    set.extend(p[..keep].iter().map(|i| i.0));
+                }
+                set.into_iter().map(Item).collect()
+            })
+            .collect();
+        rows.push(Vec::new());
+        let labels = (0..rows.len()).map(|t| ClassId((t % 2) as u32)).collect();
+        let ts = TransactionSet::new(n_items, 2, rows, labels);
+        let selected: Vec<MinedPattern> = patterns
+            .into_iter()
+            .map(|items| MinedPattern { items, support: 1, class_supports: vec![1, 0] })
+            .collect();
+        for fs in [
+            FeatureSpace::new(n_items, 2, &selected),
+            FeatureSpace::selected_only(n_items, 2, &selected),
+            FeatureSpace::new(n_items, 2, &[]),
+            FeatureSpace::selected_only(n_items, 2, &[]),
+        ] {
+            let m = fs.transform(&ts);
+            prop_assert_eq!(m.n_features, fs.n_features());
+            prop_assert_eq!(&m.rows, &reference_rows(&fs, &ts), "{:?}", fs);
+        }
+    }
 }
 
 proptest! {
