@@ -1,21 +1,17 @@
-//! A fixed-width bitset over `u64` blocks.
+//! A fixed-width bitset over `u64` blocks — the workspace's one tidset type.
 //!
-//! Used as the *tidset* (transaction-id set) representation throughout the
-//! workspace. The hot operations for the paper's algorithms are:
+//! Item columns, class masks and pattern tidsets are all `Bitset`s. The hot
+//! operations for the paper's algorithms are:
 //!
 //! * [`Bitset::intersection_count`] — pattern support and the numerator of
 //!   the Jaccard redundancy measure (Eq. 9);
 //! * [`Bitset::union_count`] — the denominator of Eq. 9;
-//! * [`Bitset::intersect_with`] — incremental tidset computation while
+//! * [`Bitset::intersect_with_count`] — incremental tidset computation while
 //!   extending a pattern item by item;
+//! * [`Bitset::is_subset_of`] — the closed miner's cover test;
 //! * [`Bitset::iter_ones`] — database-coverage bookkeeping in MMRFS.
 //!
-//! All counting and combining kernels delegate to the chunked 4-wide block
-//! loops in [`crate::kernels`]; the previous one-word-at-a-time versions are
-//! preserved in [`scalar`] as the measured baseline for the
-//! `data_substrate` bench and the equivalence proptests.
-
-use crate::kernels;
+//! Every kernel is one plain loop over the word pairs.
 
 /// A set of bit positions in `[0, len)`, stored as `u64` blocks.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -29,12 +25,6 @@ impl std::fmt::Debug for Bitset {
         f.debug_set().entries(self.iter_ones()).finish()
     }
 }
-
-/// Words per cache tile of the batched one-vs-many scan
-/// ([`Bitset::batch_intersection_counts`]): 512 × 8 B = 4 KiB of the probe
-/// bitset stays resident in L1 while every mask's matching stripe streams
-/// past it.
-pub(crate) const TILE_WORDS: usize = 512;
 
 impl Bitset {
     /// Creates an empty bitset able to hold `len` bits, all clear.
@@ -106,7 +96,7 @@ impl Bitset {
 
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
-        kernels::count(&self.blocks)
+        self.blocks.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// `|self ∩ other|` without allocating.
@@ -114,8 +104,9 @@ impl Bitset {
     /// # Panics
     /// Panics if the lengths differ.
     pub fn intersection_count(&self, other: &Bitset) -> usize {
-        self.check_same_len(other);
-        kernels::and_count(&self.blocks, &other.blocks)
+        self.word_pairs(other)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
     }
 
     /// `|self ∪ other|` without allocating.
@@ -123,8 +114,9 @@ impl Bitset {
     /// # Panics
     /// Panics if the lengths differ.
     pub fn union_count(&self, other: &Bitset) -> usize {
-        self.check_same_len(other);
-        kernels::or_count(&self.blocks, &other.blocks)
+        self.word_pairs(other)
+            .map(|(a, b)| (a | b).count_ones() as usize)
+            .sum()
     }
 
     /// `|self \ other|` without allocating.
@@ -132,11 +124,12 @@ impl Bitset {
     /// # Panics
     /// Panics if the lengths differ.
     pub fn difference_count(&self, other: &Bitset) -> usize {
-        self.check_same_len(other);
-        kernels::andnot_count(&self.blocks, &other.blocks)
+        self.word_pairs(other)
+            .map(|(a, b)| (a & !b).count_ones() as usize)
+            .sum()
     }
 
-    /// `|self ∩ other| >= min` with per-tile early exit.
+    /// `|self ∩ other| >= min`, stopping at the word that reaches `min`.
     ///
     /// The support-pruning kernel: a DFS node that only needs to know
     /// whether an extension stays frequent can stop counting as soon as
@@ -146,32 +139,13 @@ impl Bitset {
     /// # Panics
     /// Panics if the lengths differ.
     pub fn intersection_count_at_least(&self, other: &Bitset, min: usize) -> bool {
-        self.check_same_len(other);
-        if min == 0 {
-            return true;
-        }
-        // Chunked body with a coarser exit check: testing every 4-word block
-        // keeps the vectorizable inner loop branch-light while still bailing
-        // out within 256 bits of crossing the threshold.
+        let mut pairs = self.word_pairs(other);
         let mut count = 0usize;
-        let mut ita = self.blocks.chunks_exact(4);
-        let mut itb = other.blocks.chunks_exact(4);
-        for (wa, wb) in (&mut ita).zip(&mut itb) {
-            count += (wa[0] & wb[0]).count_ones() as usize
-                + (wa[1] & wb[1]).count_ones() as usize
-                + (wa[2] & wb[2]).count_ones() as usize
-                + (wa[3] & wb[3]).count_ones() as usize;
-            if count >= min {
-                return true;
-            }
-        }
-        for (a, b) in ita.remainder().iter().zip(itb.remainder()) {
-            count += (a & b).count_ones() as usize;
-            if count >= min {
-                return true;
-            }
-        }
-        false
+        min == 0
+            || pairs.any(|(a, b)| {
+                count += (a & b).count_ones() as usize;
+                count >= min
+            })
     }
 
     /// `(|self ∩ other|, |self ∪ other|)` in a single pass over the blocks.
@@ -181,8 +155,13 @@ impl Bitset {
     /// # Panics
     /// Panics if the lengths differ.
     pub fn intersection_union_count(&self, other: &Bitset) -> (usize, usize) {
-        self.check_same_len(other);
-        kernels::and_or_count(&self.blocks, &other.blocks)
+        self.word_pairs(other)
+            .fold((0, 0), |(inter, union), (a, b)| {
+                (
+                    inter + (a & b).count_ones() as usize,
+                    union + (a | b).count_ones() as usize,
+                )
+            })
     }
 
     /// In-place `self &= other`.
@@ -191,18 +170,24 @@ impl Bitset {
     /// Panics if the lengths differ.
     pub fn intersect_with(&mut self, other: &Bitset) {
         self.check_same_len(other);
-        kernels::and_in_place(&mut self.blocks, &other.blocks);
+        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+            *a &= b;
+        }
     }
 
     /// In-place `self &= other`, returning the resulting `count_ones` from
-    /// the same pass — the incremental-tidset kernel of the vertical miners
-    /// (fuses the former `intersect_with` + `count_ones` pair).
+    /// the same pass — the incremental-tidset kernel of the vertical miners.
     ///
     /// # Panics
     /// Panics if the lengths differ.
     pub fn intersect_with_count(&mut self, other: &Bitset) -> usize {
         self.check_same_len(other);
-        kernels::and_in_place_count(&mut self.blocks, &other.blocks)
+        let mut count = 0usize;
+        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+            *a &= b;
+            count += a.count_ones() as usize;
+        }
+        count
     }
 
     /// In-place `self |= other`.
@@ -211,7 +196,9 @@ impl Bitset {
     /// Panics if the lengths differ.
     pub fn union_with(&mut self, other: &Bitset) {
         self.check_same_len(other);
-        kernels::or_in_place(&mut self.blocks, &other.blocks);
+        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+            *a |= b;
+        }
     }
 
     /// In-place `self &= !other`.
@@ -220,7 +207,9 @@ impl Bitset {
     /// Panics if the lengths differ.
     pub fn subtract(&mut self, other: &Bitset) {
         self.check_same_len(other);
-        kernels::andnot_in_place(&mut self.blocks, &other.blocks);
+        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+            *a &= !b;
+        }
     }
 
     /// `true` iff every set bit of `self` is also set in `other`.
@@ -228,8 +217,7 @@ impl Bitset {
     /// # Panics
     /// Panics if the lengths differ.
     pub fn is_subset_of(&self, other: &Bitset) -> bool {
-        self.check_same_len(other);
-        kernels::is_subset(&self.blocks, &other.blocks)
+        self.word_pairs(other).all(|(a, b)| a & !b == 0)
     }
 
     /// Overwrites `self` with the contents of `other` without reallocating.
@@ -256,34 +244,6 @@ impl Bitset {
         inter as f64 / union as f64
     }
 
-    /// `|self ∩ masks[j]|` for every mask in one cache-blocked sweep.
-    ///
-    /// The "one pattern tidset vs. all class masks" scan of measure
-    /// evaluation and class-support attachment. Instead of streaming the
-    /// whole probe bitset once per mask (reloading it from memory each
-    /// time), the probe is walked in [`TILE_WORDS`]-word tiles: each 4 KiB
-    /// tile is intersected against the matching stripe of *every* mask
-    /// while it is still L1-resident.
-    ///
-    /// # Panics
-    /// Panics if any mask length differs from `self.len()`.
-    pub fn batch_intersection_counts(&self, masks: &[Bitset]) -> Vec<usize> {
-        for m in masks {
-            self.check_same_len(m);
-        }
-        let mut counts = vec![0usize; masks.len()];
-        let mut start = 0usize;
-        while start < self.blocks.len() {
-            let end = (start + TILE_WORDS).min(self.blocks.len());
-            let tile = &self.blocks[start..end];
-            for (j, m) in masks.iter().enumerate() {
-                counts[j] += kernels::and_count(tile, &m.blocks[start..end]);
-            }
-            start = end;
-        }
-        counts
-    }
-
     /// Iterates over the indices of set bits in ascending order.
     pub fn iter_ones(&self) -> Ones<'_> {
         Ones {
@@ -298,16 +258,6 @@ impl Bitset {
         self.blocks.fill(0);
     }
 
-    /// The backing words (tail bits beyond `len` are always zero).
-    pub(crate) fn blocks(&self) -> &[u64] {
-        &self.blocks
-    }
-
-    /// Mutable backing words. Callers must keep tail bits clear.
-    pub(crate) fn blocks_mut(&mut self) -> &mut [u64] {
-        &mut self.blocks
-    }
-
     fn clear_tail(&mut self) {
         let rem = self.len % 64;
         if rem != 0 {
@@ -315,6 +265,15 @@ impl Bitset {
                 *last &= (1u64 << rem) - 1;
             }
         }
+    }
+
+    /// The word pairs of two equal-length bitsets.
+    fn word_pairs<'a>(&'a self, other: &'a Bitset) -> impl Iterator<Item = (u64, u64)> + 'a {
+        self.check_same_len(other);
+        self.blocks
+            .iter()
+            .copied()
+            .zip(other.blocks.iter().copied())
     }
 
     fn check_same_len(&self, other: &Bitset) {
@@ -368,63 +327,6 @@ impl Iterator for BlockOnes {
         let tz = self.block.trailing_zeros() as usize;
         self.block &= self.block - 1;
         Some(self.base + tz)
-    }
-}
-
-/// One-`u64`-at-a-time reference kernels — the pre-substrate baselines.
-///
-/// Kept (not compiled out) so the `data_substrate` bench can measure the
-/// chunked kernels against the exact loops they replaced, and so the
-/// equivalence proptests can assert the rewrite is bit-identical.
-pub mod scalar {
-    use super::Bitset;
-
-    /// Scalar `|a ∩ b|` (the pre-substrate `intersection_count` loop).
-    pub fn intersection_count(a: &Bitset, b: &Bitset) -> usize {
-        a.blocks
-            .iter()
-            .zip(&b.blocks)
-            .map(|(x, y)| (x & y).count_ones() as usize)
-            .sum()
-    }
-
-    /// Scalar `|a ∪ b|`.
-    pub fn union_count(a: &Bitset, b: &Bitset) -> usize {
-        a.blocks
-            .iter()
-            .zip(&b.blocks)
-            .map(|(x, y)| (x | y).count_ones() as usize)
-            .sum()
-    }
-
-    /// Scalar `|a \ b|`.
-    pub fn difference_count(a: &Bitset, b: &Bitset) -> usize {
-        a.blocks
-            .iter()
-            .zip(&b.blocks)
-            .map(|(x, y)| (x & !y).count_ones() as usize)
-            .sum()
-    }
-
-    /// Scalar fused `(|a ∩ b|, |a ∪ b|)`.
-    pub fn intersection_union_count(a: &Bitset, b: &Bitset) -> (usize, usize) {
-        let mut inter = 0usize;
-        let mut union = 0usize;
-        for (x, y) in a.blocks.iter().zip(&b.blocks) {
-            inter += (x & y).count_ones() as usize;
-            union += (x | y).count_ones() as usize;
-        }
-        (inter, union)
-    }
-
-    /// Scalar in-place `a &= b` returning the resulting popcount.
-    pub fn intersect_with_count(a: &mut Bitset, b: &Bitset) -> usize {
-        let mut count = 0usize;
-        for (x, y) in a.blocks.iter_mut().zip(&b.blocks) {
-            *x &= y;
-            count += x.count_ones() as usize;
-        }
-        count
     }
 }
 
@@ -606,41 +508,5 @@ mod tests {
         let b = Bitset::from_indices(100, [7, 64]);
         a.copy_from(&b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn chunked_matches_scalar_on_long_inputs() {
-        // Long enough to exercise the 4-wide blocks AND a remainder tail.
-        let n = 64 * 37 + 13;
-        let a = Bitset::from_indices(n, (0..n).filter(|i| i % 3 == 0));
-        let b = Bitset::from_indices(n, (0..n).filter(|i| i % 5 == 0 || i % 7 == 1));
-        assert_eq!(a.intersection_count(&b), scalar::intersection_count(&a, &b));
-        assert_eq!(a.union_count(&b), scalar::union_count(&a, &b));
-        assert_eq!(a.difference_count(&b), scalar::difference_count(&a, &b));
-        assert_eq!(
-            a.intersection_union_count(&b),
-            scalar::intersection_union_count(&a, &b)
-        );
-        let mut c1 = a.clone();
-        let mut c2 = a.clone();
-        assert_eq!(
-            c1.intersect_with_count(&b),
-            scalar::intersect_with_count(&mut c2, &b)
-        );
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
-    fn batch_counts_match_pairwise() {
-        let n = 64 * TILE_WORDS + 777; // cross a tile boundary
-        let probe = Bitset::from_indices(n, (0..n).filter(|i| i % 11 == 0));
-        let masks: Vec<Bitset> = (2..6)
-            .map(|k| Bitset::from_indices(n, (0..n).filter(move |i| i % k == 0)))
-            .collect();
-        let batch = probe.batch_intersection_counts(&masks);
-        for (j, m) in masks.iter().enumerate() {
-            assert_eq!(batch[j], probe.intersection_count(m), "mask {j}");
-        }
-        assert!(Bitset::new(10).batch_intersection_counts(&[]).is_empty());
     }
 }

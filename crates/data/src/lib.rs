@@ -11,8 +11,9 @@
 //!   "For numerical attributes, the continuous values are discretized first");
 //! * the `(attribute, value) → item` mapping and the resulting binary
 //!   [`transactions::TransactionSet`] representation `D ⊆ B^d`;
-//! * a compact [`bitset::Bitset`] used throughout the workspace for tidsets
-//!   (support counting, Jaccard redundancy, database coverage);
+//! * the dense [`bitset::Bitset`], the one tidset type of the workspace
+//!   (item columns, class masks, pattern tidsets: support counting, Jaccard
+//!   redundancy, database coverage);
 //! * seeded [`synth`]etic dataset generators replaying the *profiles* (size,
 //!   arity, class priors, density) of the 22 UCI datasets used in the paper's
 //!   evaluation — see `DESIGN.md` §4 for why this substitution preserves the
@@ -20,7 +21,8 @@
 //! * [`split`] utilities: stratified k-fold cross validation and holdout
 //!   splits;
 //! * a dependency-free [`csv`] reader/writer so real UCI files can be dropped
-//!   in when available.
+//!   in when available, and an out-of-core [`ingest`] path that streams a
+//!   large CSV into transactions in bounded segments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,8 +34,6 @@ pub mod dataset;
 pub mod discretize;
 pub mod features;
 pub mod ingest;
-mod kernels;
-pub mod rowset;
 pub mod schema;
 pub mod split;
 pub mod synth;
@@ -41,6 +41,5 @@ pub mod transactions;
 
 pub use bitset::Bitset;
 pub use dataset::{Dataset, Value};
-pub use rowset::{BitsetMode, RowSet};
 pub use schema::{Attribute, AttributeKind, ClassId, Schema};
 pub use transactions::{Item, ItemMap, Transaction, TransactionSet};

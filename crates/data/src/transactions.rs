@@ -6,7 +6,6 @@
 //! partitioned according to the class label") is a method here.
 
 use crate::bitset::Bitset;
-use crate::rowset::RowSet;
 use crate::schema::{AttributeKind, ClassId, Schema};
 
 /// A single binary feature: one `(attribute, value)` pair, densely numbered.
@@ -266,32 +265,13 @@ impl TransactionSet {
         v
     }
 
-    /// Vertical representation as adaptive [`RowSet`]s: each item's tidset
-    /// in the representation picked by the active [`crate::rowset::mode`]
-    /// (for `auto`, per column from its measured density). Row indices per
-    /// item arrive ascending by construction, so compressed columns build
-    /// without an intermediate dense pass.
-    pub fn vertical_rowsets(&self) -> Vec<RowSet> {
-        let mut cols: Vec<Vec<usize>> = vec![Vec::new(); self.n_items];
-        for (t, tx) in self.transactions.iter().enumerate() {
-            for item in tx {
-                cols[item.index()].push(t);
-            }
+    /// Per-class row masks, indexed by class id.
+    pub fn class_masks(&self) -> Vec<Bitset> {
+        let mut masks = vec![Bitset::new(self.len()); self.n_classes];
+        for (t, l) in self.labels.iter().enumerate() {
+            masks[l.index()].set(t);
         }
-        let n = self.len();
-        cols.into_iter()
-            .map(|idx| RowSet::from_sorted_indices(n, &idx))
-            .collect()
-    }
-
-    /// Per-class row masks as adaptive [`RowSet`]s, indexed by class id —
-    /// the "all class masks" side of the batched support scans.
-    pub fn class_masks(&self) -> Vec<RowSet> {
-        let n = self.len();
-        self.class_partition_indices()
-            .into_iter()
-            .map(|idx| RowSet::from_sorted_indices(n, &idx))
-            .collect()
+        masks
     }
 
     /// Absolute support of an itemset.

@@ -8,24 +8,12 @@
 //! overlap with an irrelevant pattern.
 
 use dfp_data::bitset::Bitset;
-use dfp_data::rowset::RowSet;
 
 /// `R(α, β)` from tidsets and relevance values.
 ///
 /// # Panics
 /// Panics if the tidsets have different lengths.
 pub fn redundancy(tids_a: &Bitset, tids_b: &Bitset, s_a: f64, s_b: f64) -> f64 {
-    redundancy_from_overlap(tids_a.jaccard(tids_b), s_a, s_b)
-}
-
-/// `R(α, β)` from [`RowSet`] tidsets (dense or compressed).
-///
-/// The Jaccard overlap comes from the fused intersection/union kernel, so
-/// both counts cost a single pass over the operands.
-///
-/// # Panics
-/// Panics if the row sets have different lengths.
-pub fn redundancy_rowset(tids_a: &RowSet, tids_b: &RowSet, s_a: f64, s_b: f64) -> f64 {
     redundancy_from_overlap(tids_a.jaccard(tids_b), s_a, s_b)
 }
 
@@ -85,23 +73,6 @@ mod tests {
         let b = tids(8, &[1, 2, 5]);
         let r = redundancy(&a, &b, 0.4, 0.7);
         assert!(r <= 0.4 + 1e-12);
-    }
-
-    #[test]
-    fn rowset_variant_matches_dense() {
-        let a = tids(300, &[0, 1, 2, 3, 100, 250]);
-        let b = tids(300, &[2, 3, 4, 5, 250, 299]);
-        let want = redundancy(&a, &b, 0.6, 0.3);
-        let comp =
-            |x: &Bitset| RowSet::Compressed(dfp_data::rowset::CompressedBitmap::from_bitset(x));
-        for (ra, rb) in [
-            (RowSet::Dense(a.clone()), RowSet::Dense(b.clone())),
-            (comp(&a), comp(&b)),
-            (comp(&a), RowSet::Dense(b.clone())),
-        ] {
-            let got = redundancy_rowset(&ra, &rb, 0.6, 0.3);
-            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
-        }
     }
 
     #[test]

@@ -21,12 +21,12 @@
 //!
 //! Every closed frequent set except the closure of ∅ has exactly one such
 //! parent, so each is emitted exactly once and no post-filter runs. Tidsets
-//! are [`RowSet`]s in the active `DFP_BITSET` representation; each search
-//! depth intersects into its own scratch slot, as in [`crate::eclat`].
+//! are dense [`Bitset`]s; each search depth copies its parent's tidset into
+//! its own scratch slot and intersects there, as in [`crate::eclat`].
 
 use crate::anytime::{self, Mined, StopReason};
 use crate::{MineOptions, MiningError, RawPattern};
-use dfp_data::rowset::RowSet;
+use dfp_data::bitset::Bitset;
 use dfp_data::transactions::{Item, TransactionSet};
 use std::collections::HashMap;
 
@@ -65,8 +65,8 @@ pub fn mine_closed_anytime(
             StopReason::Fault("mining.closed"),
         ));
     }
-    let frequent: Vec<(Item, RowSet)> = ts
-        .vertical_rowsets()
+    let frequent: Vec<(Item, Bitset)> = ts
+        .vertical()
         .into_iter()
         .enumerate()
         .filter_map(|(i, tids)| (tids.count_ones() >= min_sup).then_some((Item(i as u32), tids)))
@@ -74,9 +74,7 @@ pub fn mine_closed_anytime(
     let supports: Vec<usize> = frequent.iter().map(|(_, t)| t.count_ones()).collect();
     // One slot for the root and one per depth below it; each depth adds at
     // least one item.
-    let mut scratch: Vec<RowSet> = (0..=frequent.len())
-        .map(|_| RowSet::new_scratch(ts.len()))
-        .collect();
+    let mut scratch = vec![Bitset::new(ts.len()); frequent.len() + 1];
     let mut search = Search {
         frequent: &frequent,
         supports: &supports,
@@ -117,7 +115,7 @@ pub fn mine_closed_anytime(
 /// `frequent`, which ascends with the item id.
 struct Search<'a> {
     /// The frequent items with their tidsets.
-    frequent: &'a [(Item, RowSet)],
+    frequent: &'a [(Item, Bitset)],
     /// `|tids(j)|` for every frequent item `j`.
     supports: &'a [usize],
     min_sup: usize,
@@ -159,9 +157,9 @@ impl Search<'_> {
     /// intersections; deeper calls use the rest.
     fn extend(
         &mut self,
-        tids: Option<&RowSet>,
+        tids: Option<&Bitset>,
         first: usize,
-        scratch: &mut [RowSet],
+        scratch: &mut [Bitset],
     ) -> Result<(), StopReason> {
         if !self.opts.may_extend(self.p.len()) {
             return Ok(());
@@ -176,12 +174,15 @@ impl Search<'_> {
             }
             let support = match tids {
                 None => self.supports[e],
-                Some(t) => t.intersect_into(&frequent[e].1, slot),
+                Some(t) => {
+                    slot.copy_from(t);
+                    slot.intersect_with_count(&frequent[e].1)
+                }
             };
             if support < self.min_sup {
                 continue;
             }
-            let t_prime: &RowSet = match tids {
+            let t_prime: &Bitset = match tids {
                 None => &frequent[e].1,
                 Some(_) => slot,
             };

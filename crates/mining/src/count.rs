@@ -9,7 +9,6 @@
 use crate::anytime::StopReason;
 use crate::{MiningError, RawPattern};
 use dfp_data::bitset::Bitset;
-use dfp_data::rowset::RowSet;
 use dfp_data::transactions::{Item, TransactionSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -69,9 +68,8 @@ pub fn count_frequent_anytime(
         });
     }
     let vertical = ts.vertical();
-    let cands: Vec<Bitset> = (0..ts.n_items()).map(|i| vertical[i].clone()).collect();
     let frequent: Vec<usize> = (0..ts.n_items())
-        .filter(|&i| cands[i].count_ones() >= min_sup)
+        .filter(|&i| vertical[i].count_ones() >= min_sup)
         .collect();
     let meter = Meter {
         count: AtomicU64::new(0),
@@ -83,9 +81,9 @@ pub fn count_frequent_anytime(
         meter.bump()?;
         if i + 1 < frequent.len() {
             count_dfs(
-                &cands,
+                &vertical,
                 &frequent[i + 1..],
-                &cands[frequent[i]],
+                &vertical[frequent[i]],
                 min_sup,
                 &meter,
             )?;
@@ -165,45 +163,46 @@ fn count_dfs(
 }
 
 /// Attaches per-class supports to raw patterns by recounting on the full
-/// database (vertical row-set intersections).
+/// database (vertical tidset intersections).
 ///
-/// The per-class counts come from one batched "pattern tidset vs. all class
-/// masks" scan; because the classes partition the rows, the total support is
-/// their sum — no separate counting pass.
+/// Each pattern's tidset is counted against every class mask; because the
+/// classes partition the rows, the total support is their sum — no separate
+/// counting pass.
 pub fn attach_class_supports(
     ts: &TransactionSet,
     patterns: &[RawPattern],
 ) -> Vec<crate::MinedPattern> {
-    let vertical = ts.vertical_rowsets();
+    let vertical = ts.vertical();
     let class_masks = ts.class_masks();
     patterns
         .iter()
         .map(|p| {
             let tids = pattern_rowset(&vertical, ts.len(), &p.items);
-            let counts = tids.batch_intersection_counts(&class_masks);
-            let support: usize = counts.iter().sum();
+            let class_supports: Vec<u32> = class_masks
+                .iter()
+                .map(|m| tids.intersection_count(m) as u32)
+                .collect();
             crate::MinedPattern {
                 items: p.items.clone(),
-                support: support as u32,
-                class_supports: counts.into_iter().map(|c| c as u32).collect(),
+                support: class_supports.iter().sum(),
+                class_supports,
             }
         })
         .collect()
 }
 
-/// Row set of an itemset from a vertical [`RowSet`] representation.
+/// Tidset of an itemset from the vertical representation
+/// ([`TransactionSet::vertical`]).
 ///
 /// The empty itemset covers every row. Otherwise the first item's rows seed
-/// the result and each further item intersects into a reused scratch slot.
-pub fn pattern_rowset(vertical: &[RowSet], n: usize, items: &[Item]) -> RowSet {
+/// the result and each further item intersects into it.
+pub fn pattern_rowset(vertical: &[Bitset], n: usize, items: &[Item]) -> Bitset {
     let Some((first, rest)) = items.split_first() else {
-        return RowSet::Dense(Bitset::full(n));
+        return Bitset::full(n);
     };
     let mut tids = vertical[first.index()].clone();
-    let mut scratch = RowSet::new_scratch(n);
     for item in rest {
-        tids.intersect_into(&vertical[item.index()], &mut scratch);
-        std::mem::swap(&mut tids, &mut scratch);
+        tids.intersect_with(&vertical[item.index()]);
     }
     tids
 }

@@ -1,8 +1,8 @@
 //! Vertical (tidset) depth-first frequent itemset mining — Eclat.
 //!
-//! Each item carries a [`RowSet`] of the transactions containing it — dense
-//! or roaring-compressed per the active `DFP_BITSET` mode — and a DFS
-//! extends the current prefix with items of higher id, intersecting tidsets.
+//! Each item carries a dense [`Bitset`] of the transactions containing it,
+//! and a DFS extends the current prefix with items of higher id,
+//! intersecting tidsets.
 //! Simple, exact, and fast at the dataset sizes of the paper's evaluation.
 //! Mines *all* frequent sets: the ablation backend against closed mining,
 //! and a cross-check of Apriori and the brute-force oracles in the property
@@ -10,11 +10,11 @@
 //!
 //! The candidate-extension loop writes each `prefix ∩ candidate` into a
 //! per-depth scratch slot instead of cloning the prefix tidset per
-//! candidate, so the dense-mode inner loop is allocation-free.
+//! candidate, so the inner loop is allocation-free.
 
 use crate::anytime::{self, Mined, StopReason};
 use crate::{MineOptions, MiningError, RawPattern};
-use dfp_data::rowset::RowSet;
+use dfp_data::bitset::Bitset;
 use dfp_data::transactions::{Item, TransactionSet};
 
 /// Mines all frequent itemsets with absolute support `>= min_sup`.
@@ -41,8 +41,8 @@ pub fn mine_anytime(
         return Err(MiningError::ZeroMinSup);
     }
     let mut sp = dfp_obs::span("mine.eclat");
-    let vertical = ts.vertical_rowsets();
-    let frequent: Vec<(Item, RowSet)> = vertical
+    let vertical = ts.vertical();
+    let frequent: Vec<(Item, Bitset)> = vertical
         .into_iter()
         .enumerate()
         .filter_map(|(i, tids)| (tids.count_ones() >= min_sup).then_some((Item(i as u32), tids)))
@@ -51,9 +51,7 @@ pub fn mine_anytime(
     // One scratch tidset per DFS depth: depth `d` intersects into
     // `scratch[d]`, so extensions reuse storage instead of cloning the
     // prefix tidset for every candidate.
-    let mut scratch: Vec<RowSet> = (0..frequent.len())
-        .map(|_| RowSet::new_scratch(ts.len()))
-        .collect();
+    let mut scratch = vec![Bitset::new(ts.len()); frequent.len()];
     let mut out = Vec::new();
     let mut prefix = Vec::new();
     let mut nodes = 0u64;
@@ -84,12 +82,12 @@ pub fn mine_anytime(
 /// the recursion continues with `scratch[1..]`.
 #[allow(clippy::too_many_arguments)]
 fn dfs(
-    cands: &[(Item, RowSet)],
+    cands: &[(Item, Bitset)],
     min_sup: usize,
     opts: &MineOptions,
     prefix: &mut Vec<Item>,
-    prefix_tids: Option<&RowSet>,
-    scratch: &mut [RowSet],
+    prefix_tids: Option<&Bitset>,
+    scratch: &mut [Bitset],
     out: &mut Vec<RawPattern>,
     nodes: &mut u64,
 ) -> Result<(), StopReason> {
@@ -99,7 +97,8 @@ fn dfs(
             None => tids.count_ones(),
             Some(pt) => {
                 let (slot, _) = scratch.split_first_mut().expect("scratch covers DFS depth");
-                pt.intersect_into(tids, slot)
+                slot.copy_from(pt);
+                slot.intersect_with_count(tids)
             }
         };
         if support < min_sup {

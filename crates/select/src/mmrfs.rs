@@ -22,20 +22,21 @@
 //! last evaluation; a popped candidate is refreshed only against the
 //! selections made since, and wins once it is at the top with a fresh gain.
 //!
-//! Discards come first. Per class `c`, a dense mask holds the class-`c`
-//! rows still covered fewer than δ times (none when δ = 0). A popped
-//! candidate whose tidset misses its majority class's mask is dropped from
-//! F at once, without a refresh; only a candidate that still covers an open
-//! row is refreshed or selected. This is exact. Coverage only grows, so a
-//! dropped candidate could never be selected later. Between two selections
-//! every gain is fixed, so Algorithm 1 discards the candidates ranked above
-//! the best-keyed one that still covers an open row and then selects it;
-//! once those are dropped, that candidate is the fresh top. About 95% of
-//! rounds are such discards. The loop is sequential; only the tidset
-//! precompute runs on `dfp-par`.
+//! Discards come first. Per class `c`, a mask holds the class-`c` rows
+//! still covered fewer than δ times (none when δ = 0). A popped candidate
+//! whose tidset misses its majority class's mask is dropped from F at once,
+//! without a refresh (the test stops at the first shared word); only a
+//! candidate that still covers an open row is refreshed or selected. This
+//! is exact. Coverage only grows, so a dropped candidate could never be
+//! selected later. Between two selections every gain is fixed, so
+//! Algorithm 1 discards the candidates ranked above the best-keyed one that
+//! still covers an open row and then selects it; once those are dropped,
+//! that candidate is the fresh top. About 95% of rounds are such discards.
+//! Tidsets, masks and the Jaccard overlap of Eq. 9 are all dense [`Bitset`]
+//! operations. The loop is sequential; only the tidset precompute runs on
+//! `dfp-par`.
 
 use dfp_data::bitset::Bitset;
-use dfp_data::rowset::RowSet;
 use dfp_data::transactions::TransactionSet;
 use dfp_measures::redundancy::redundancy_from_overlap;
 use dfp_measures::RelevanceMeasure;
@@ -165,10 +166,9 @@ pub fn mmrfs(
         }
     }
 
-    // Tidsets (dense or compressed row sets, following the active
-    // `DFP_BITSET` mode).
-    let vertical = ts.vertical_rowsets();
-    let tids: Vec<RowSet> = dfp_par::par_chunks_map(&pool, 64, |&i| {
+    // Candidate tidsets.
+    let vertical = ts.vertical();
+    let tids: Vec<Bitset> = dfp_par::par_chunks_map(&pool, 64, |&i| {
         pattern_rowset(&vertical, n, &candidates[i].items)
     });
 
@@ -219,7 +219,7 @@ pub fn mmrfs(
         cand_scanned += 1;
         let j = top.slot;
         let mask = &mut open[candidates[top.cand].majority_class().index()];
-        if !tids[j].intersects(mask) {
+        if !tids[j].intersection_count_at_least(mask, 1) {
             rounds += 1; // discarded from F without selection (Algorithm 1, line 7)
             continue;
         }

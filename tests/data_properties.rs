@@ -8,32 +8,82 @@ use dfpc::data::discretize::{
 use dfpc::data::schema::ClassId;
 use dfpc::data::split::stratified_k_fold;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
-fn bits(len: usize) -> impl Strategy<Value = Bitset> {
-    prop::collection::btree_set(0..len, 0..=len).prop_map(move |s| Bitset::from_indices(len, s))
+/// Longest bitset the kernel laws draw: four full words plus a tail.
+const MAX_BITS: usize = 300;
+
+/// A set of bit indices below [`MAX_BITS`]; each law keeps the ones below
+/// its drawn length, so set density does not depend on the length.
+fn indices() -> impl Strategy<Value = BTreeSet<usize>> {
+    prop::collection::btree_set(0..MAX_BITS, 0..=MAX_BITS)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// Every `Bitset` kernel agrees with the `BTreeSet` its operands were
+    /// built from, at lengths that end on a word boundary and inside a word.
     #[test]
-    fn bitset_algebra_laws(a in bits(130), b in bits(130), c in bits(130)) {
-        // inclusion–exclusion
-        prop_assert_eq!(
-            a.union_count(&b) + a.intersection_count(&b),
-            a.count_ones() + b.count_ones()
-        );
-        // difference decomposition
-        prop_assert_eq!(
-            a.difference_count(&b) + a.intersection_count(&b),
-            a.count_ones()
-        );
-        // subset ↔ intersection fixpoint
+    fn bitset_algebra_laws(
+        len in 0..=MAX_BITS,
+        sa in indices(),
+        sb in indices(),
+        sc in indices(),
+    ) {
+        let keep = |s: BTreeSet<usize>| -> BTreeSet<usize> {
+            s.into_iter().filter(|&i| i < len).collect()
+        };
+        let (sa, sb, sc) = (keep(sa), keep(sb), keep(sc));
+        let bits = |s: &BTreeSet<usize>| Bitset::from_indices(len, s.iter().copied());
+        let (a, b, c) = (bits(&sa), bits(&sb), bits(&sc));
+        let and: BTreeSet<usize> = sa.intersection(&sb).copied().collect();
+        let or: BTreeSet<usize> = sa.union(&sb).copied().collect();
+        let diff: BTreeSet<usize> = sa.difference(&sb).copied().collect();
+        let k = and.len();
+
+        // counts
+        prop_assert_eq!(a.count_ones(), sa.len());
+        prop_assert_eq!(a.is_empty(), sa.is_empty());
+        prop_assert_eq!(a.intersection_count(&b), k);
+        prop_assert_eq!(a.union_count(&b), or.len());
+        prop_assert_eq!(a.difference_count(&b), diff.len());
+        prop_assert_eq!(a.intersection_union_count(&b), (k, or.len()));
+        prop_assert!(a.intersection_count_at_least(&b, 0));
+        prop_assert!(a.intersection_count_at_least(&b, k));
+        prop_assert!(!a.intersection_count_at_least(&b, k + 1));
+        let want_jaccard = if or.is_empty() { 0.0 } else { k as f64 / or.len() as f64 };
+        prop_assert_eq!(a.jaccard(&b), want_jaccard);
+
+        // in-place kernels
         let mut ab = a.clone();
-        ab.intersect_with(&b);
-        prop_assert_eq!(ab.is_subset_of(&a), true);
-        prop_assert_eq!(a.is_subset_of(&b), ab == a.clone());
-        // associativity of intersection via counts
+        prop_assert_eq!(ab.intersect_with_count(&b), k);
+        prop_assert_eq!(&ab, &bits(&and));
+        let mut ab2 = a.clone();
+        ab2.intersect_with(&b);
+        prop_assert_eq!(&ab2, &ab);
+        let mut u = a.clone();
+        u.union_with(&b);
+        prop_assert_eq!(&u, &bits(&or));
+        let mut d = a.clone();
+        d.subtract(&b);
+        prop_assert_eq!(&d, &bits(&diff));
+        prop_assert_eq!(
+            d.iter_ones().collect::<Vec<_>>(),
+            diff.iter().copied().collect::<Vec<_>>()
+        );
+
+        // subset: the random pair, true cases, and a ∩ b plus the highest
+        // element of a \ b as the only stray bit
+        prop_assert_eq!(a.is_subset_of(&b), sa.is_subset(&sb));
+        prop_assert!(ab.is_subset_of(&a) && ab.is_subset_of(&b) && a.is_subset_of(&u));
+        if let Some(&last) = diff.last() {
+            let mut stray = and.clone();
+            stray.insert(last);
+            prop_assert!(!bits(&stray).is_subset_of(&b));
+        }
+
+        // associativity of intersection
         let mut ab_c = ab.clone();
         ab_c.intersect_with(&c);
         let mut bc = b.clone();
@@ -41,12 +91,6 @@ proptest! {
         let mut a_bc = a.clone();
         a_bc.intersect_with(&bc);
         prop_assert_eq!(ab_c, a_bc);
-        // iter_ones roundtrip
-        let back = Bitset::from_indices(130, a.iter_ones());
-        prop_assert_eq!(back, a.clone());
-        // jaccard bounds
-        let j = a.jaccard(&b);
-        prop_assert!((0.0..=1.0).contains(&j));
     }
 
     #[test]

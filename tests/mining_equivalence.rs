@@ -133,6 +133,29 @@ proptest! {
         }
     }
 
+    /// Class supports attached from tidset ∩ class-mask counts equal a
+    /// horizontal recount, on databases long enough to span several words.
+    #[test]
+    fn class_supports_match_horizontal_recount(
+        txs in prop::collection::vec(prop::collection::btree_set(0u32..8, 0..=6), 1..=150),
+        labels in prop::collection::vec(0u32..3, 150),
+        min_sup in 1usize..4,
+    ) {
+        let n = txs.len();
+        let transactions: Vec<Vec<Item>> = txs
+            .into_iter()
+            .map(|set| set.into_iter().map(Item).collect())
+            .collect();
+        let labels = labels[..n].iter().map(|&l| ClassId(l)).collect();
+        let ts = TransactionSet::new(8, 3, transactions, labels);
+        let raw = eclat::mine(&ts, min_sup, &MineOptions::default()).unwrap();
+        for p in count::attach_class_supports(&ts, &raw) {
+            let want: Vec<u32> = ts.class_supports(&p.items).iter().map(|&c| c as u32).collect();
+            prop_assert_eq!(&p.class_supports, &want, "{:?}", &p.items);
+            prop_assert_eq!(p.support as usize, ts.support(&p.items));
+        }
+    }
+
     #[test]
     fn monotonicity_in_min_sup(ts in random_db()) {
         // Raising min_sup can only shrink the frequent set.
