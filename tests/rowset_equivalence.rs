@@ -1,232 +1,129 @@
-//! Dense vs. compressed row-set equivalence.
+//! Row-set kernels at tidset scale.
 //!
-//! The adaptive substrate (`RowSet` = dense `Bitset` | roaring-style
-//! `CompressedBitmap`) must be a pure representation change: every kernel
-//! — intersection, union, difference, the fused pair, subset, membership,
-//! iteration — must return bit-identical results across all four
-//! dense/compressed operand pairings, on random densities and at the
-//! array↔bitmap container boundary (4096 set bits per 2^16-bit chunk).
-//! On top of the kernels, Eclat and the closed miner must emit
-//! byte-identical pattern streams under `DFP_BITSET=dense`, `compressed`,
-//! and `auto`.
+//! Every tidset (item column, class mask, pattern tidset, miner scratch
+//! slot) is a dense `Bitset` over the rows of a database. The algebra laws
+//! in `data_properties.rs` check the kernels on short sets; here the row
+//! universes are the sizes real tidsets have — a thousand rows, just past
+//! one 2^16-row block, and 200,000 rows — with sparse random rows and long
+//! runs of full words. Each kernel must agree with a bit-by-bit reference
+//! over a plain boolean membership vector.
 
-use dfpc::data::bitset::{scalar, Bitset};
-use dfpc::data::rowset::{set_mode_override, BitsetMode, CompressedBitmap, RowSet, ARRAY_MAX};
-use dfpc::data::schema::ClassId;
-use dfpc::data::transactions::{Item, TransactionSet};
-use dfpc::mining::{closed, eclat, MineOptions};
+use dfpc::data::bitset::Bitset;
 use proptest::prelude::*;
-use std::sync::Mutex;
 
-/// Serializes tests that flip the process-global representation mode.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Universe sizes: well below one chunk, just above one chunk, several
-/// chunks (exercising chunk-boundary and tail-word handling).
+/// Row universes: 1000 (ends inside a word), 70,000 (ends inside a word,
+/// past one 2^16-row block) and 200,000 (ends on a word boundary).
 const LENS: [usize; 3] = [1000, 70_000, 200_000];
 
-fn build(len: usize, raw: &[u64]) -> (Bitset, CompressedBitmap) {
-    let mut idx: Vec<usize> = raw.iter().map(|&r| (r as usize) % len).collect();
-    idx.sort_unstable();
-    idx.dedup();
-    let b = Bitset::from_indices(len, idx.iter().copied());
-    let c = CompressedBitmap::from_bitset(&b);
-    (b, c)
+/// A row set of `len` rows: the rows `0..run` (a run of full words plus a
+/// partial one) and the rows named by `raw` modulo `len`. Returns the
+/// bitset and its boolean membership reference.
+fn build(len: usize, run: usize, raw: &[u64]) -> (Bitset, Vec<bool>) {
+    let mut member = vec![false; len];
+    for m in member.iter_mut().take(run) {
+        *m = true;
+    }
+    for &r in raw {
+        member[(r as usize) % len] = true;
+    }
+    let b = Bitset::from_indices(len, (0..len).filter(|&i| member[i]));
+    (b, member)
 }
 
-/// The four dense/compressed operand pairings of one logical (a, b) pair.
-fn pairings(
-    a: &Bitset,
-    ca: &CompressedBitmap,
-    b: &Bitset,
-    cb: &CompressedBitmap,
-) -> Vec<(String, RowSet, RowSet)> {
-    let d = |x: &Bitset| RowSet::Dense(x.clone());
-    let c = |x: &CompressedBitmap| RowSet::Compressed(x.clone());
-    vec![
-        ("dense×dense".into(), d(a), d(b)),
-        ("dense×comp".into(), d(a), c(cb)),
-        ("comp×dense".into(), c(ca), d(b)),
-        ("comp×comp".into(), c(ca), c(cb)),
-    ]
+/// The rows set in a membership reference, ascending.
+fn rows(member: &[bool]) -> Vec<usize> {
+    (0..member.len()).filter(|&i| member[i]).collect()
+}
+
+/// The bitset holding exactly the rows where `f(a[i], b[i])` holds.
+fn combine(a: &[bool], b: &[bool], f: impl Fn(bool, bool) -> bool) -> Vec<bool> {
+    a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every counting kernel agrees with the scalar dense baseline across
-    /// all four representation pairings.
+    /// Every counting kernel agrees with a bit-by-bit count over the
+    /// membership reference.
     #[test]
     fn counting_kernels_agree(
         which in 0usize..3,
+        run_a in 0usize..5000,
+        run_b in 0usize..5000,
         raw_a in prop::collection::vec(0u64..u64::MAX, 0..600),
         raw_b in prop::collection::vec(0u64..u64::MAX, 0..600),
     ) {
         let len = LENS[which];
-        let (a, ca) = build(len, &raw_a);
-        let (b, cb) = build(len, &raw_b);
-        prop_assert_eq!(ca.count_ones(), a.count_ones());
-        let inter = scalar::intersection_count(&a, &b);
-        let union = scalar::union_count(&a, &b);
-        let diff = scalar::difference_count(&a, &b);
-        for (name, ra, rb) in pairings(&a, &ca, &b, &cb) {
-            prop_assert_eq!(ra.intersection_count(&rb), inter, "inter {}", &name);
-            prop_assert_eq!(ra.union_count(&rb), union, "union {}", &name);
-            prop_assert_eq!(ra.difference_count(&rb), diff, "diff {}", &name);
-            prop_assert_eq!(ra.intersection_union_count(&rb), (inter, union),
-                "fused {}", &name);
-            prop_assert_eq!(ra.is_subset_of(&rb), a.is_subset_of(&b), "subset {}", &name);
-        }
+        let (a, ma) = build(len, run_a, &raw_a);
+        let (b, mb) = build(len, run_b, &raw_b);
+        let count = |m: &[bool]| m.iter().filter(|&&x| x).count();
+        let inter = count(&combine(&ma, &mb, |x, y| x && y));
+        let union = count(&combine(&ma, &mb, |x, y| x || y));
+        let diff = count(&combine(&ma, &mb, |x, y| x && !y));
+
+        prop_assert_eq!(a.len(), len);
+        prop_assert_eq!(a.count_ones(), count(&ma));
+        prop_assert_eq!(a.is_empty(), count(&ma) == 0);
+        prop_assert_eq!(a.intersection_count(&b), inter);
+        prop_assert_eq!(a.union_count(&b), union);
+        prop_assert_eq!(a.difference_count(&b), diff);
+        prop_assert_eq!(a.intersection_union_count(&b), (inter, union));
+        prop_assert!(a.intersection_count_at_least(&b, inter));
+        prop_assert!(!a.intersection_count_at_least(&b, inter + 1));
+        prop_assert_eq!(a.is_subset_of(&b), diff == 0);
+        let want_jaccard = if union == 0 { 0.0 } else { inter as f64 / union as f64 };
+        prop_assert_eq!(a.jaccard(&b), want_jaccard);
     }
 
-    /// Materialising kernels (`and`, `intersect_into`) and the iterators
-    /// produce the same sets as dense intersection.
+    /// The materialising kernels produce the reference sets, and the
+    /// miners' scratch pattern — copy the parent into a reused slot, then
+    /// intersect in place — matches a fresh intersection.
     #[test]
     fn materialising_kernels_agree(
         which in 0usize..3,
+        run_a in 0usize..5000,
         raw_a in prop::collection::vec(0u64..u64::MAX, 0..600),
         raw_b in prop::collection::vec(0u64..u64::MAX, 0..600),
+        raw_c in prop::collection::vec(0u64..u64::MAX, 0..600),
     ) {
         let len = LENS[which];
-        let (a, ca) = build(len, &raw_a);
-        let (b, cb) = build(len, &raw_b);
-        let mut want = a.clone();
-        let want_n = want.intersect_with_count(&b);
-        let want_ones: Vec<usize> = want.iter_ones().collect();
-        for (name, ra, rb) in pairings(&a, &ca, &b, &cb) {
-            let anded = ra.and(&rb);
-            prop_assert_eq!(anded.count_ones(), want_n, "and count {}", &name);
-            prop_assert_eq!(anded.iter_ones().collect::<Vec<_>>(), want_ones.clone(),
-                "and ones {}", &name);
-            let mut out = RowSet::new_scratch(len);
-            prop_assert_eq!(ra.intersect_into(&rb, &mut out), want_n,
-                "intersect_into count {}", &name);
-            prop_assert_eq!(out.to_bitset(), want.clone(), "intersect_into set {}", &name);
+        let (a, ma) = build(len, run_a, &raw_a);
+        let (b, mb) = build(len, 0, &raw_b);
+        let (c, mc) = build(len, 0, &raw_c);
+        let and = combine(&ma, &mb, |x, y| x && y);
+
+        prop_assert_eq!(a.iter_ones().collect::<Vec<_>>(), rows(&ma));
+        for i in rows(&mb).into_iter().take(32) {
+            prop_assert_eq!(a.get(i), ma[i], "get {}", i);
         }
-        // Round trips and membership.
-        prop_assert_eq!(ca.to_bitset(), a.clone());
-        prop_assert_eq!(ca.iter_ones().collect::<Vec<_>>(),
-            a.iter_ones().collect::<Vec<_>>());
-        for &i in want_ones.iter().take(32) {
-            prop_assert!(ca.contains(i));
-            prop_assert!(cb.contains(i));
-        }
-    }
 
-    /// Densities straddling the 4096-set-bit array↔bitmap container
-    /// boundary keep every pairing bit-identical: `base` pushes chunk 0's
-    /// cardinality right around `ARRAY_MAX` after dedup with the noise.
-    #[test]
-    fn container_boundary_densities_agree(
-        extra in 0usize..64,
-        raw_b in prop::collection::vec(0u64..u64::MAX, 0..600),
-    ) {
-        let len = 3 * (1 << 16);
-        let count = ARRAY_MAX - 32 + extra; // spans the flip at 4096
-        let idx: Vec<usize> = (0..count).collect();
-        let a = Bitset::from_indices(len, idx.iter().copied());
-        let ca = CompressedBitmap::from_bitset(&a);
-        let (b, cb) = build(len, &raw_b);
-        let inter = scalar::intersection_count(&a, &b);
-        let union = scalar::union_count(&a, &b);
-        for (name, ra, rb) in pairings(&a, &ca, &b, &cb) {
-            prop_assert_eq!(ra.intersection_count(&rb), inter, "inter {}", &name);
-            prop_assert_eq!(ra.intersection_union_count(&rb), (inter, union),
-                "fused {}", &name);
-        }
-    }
-}
+        let mut ab = a.clone();
+        prop_assert_eq!(ab.intersect_with_count(&b), rows(&and).len());
+        prop_assert_eq!(ab.iter_ones().collect::<Vec<_>>(), rows(&and));
+        let mut ab2 = a.clone();
+        ab2.intersect_with(&b);
+        prop_assert_eq!(&ab2, &ab);
 
-/// Chunk 0 at exactly `ARRAY_MAX` stays an array container; one more bit
-/// flips it to a bitmap. Both sides of the flip intersect identically.
-#[test]
-fn container_flip_is_lossless() {
-    let len = 1 << 16;
-    for count in [ARRAY_MAX, ARRAY_MAX + 1] {
-        let a = Bitset::from_indices(len, (0..count).map(|i| i * 2));
-        let ca = CompressedBitmap::from_bitset(&a);
-        let summary = ca.container_summary();
-        assert_eq!(summary.len(), 1);
-        let (_, is_bitmap, card) = summary[0];
-        assert_eq!(card, count);
-        assert_eq!(is_bitmap, count > ARRAY_MAX, "container at {count}");
-        assert_eq!(ca.to_bitset(), a);
-        let b = Bitset::from_indices(len, (0..len).step_by(3));
-        let cb = CompressedBitmap::from_bitset(&b);
-        assert_eq!(
-            ca.intersection_count(&cb),
-            scalar::intersection_count(&a, &b)
-        );
-        assert_eq!(
-            ca.intersection_count_dense(&b),
-            scalar::intersection_count(&a, &b)
-        );
-    }
-}
+        let mut u = a.clone();
+        u.union_with(&b);
+        prop_assert_eq!(u.iter_ones().collect::<Vec<_>>(),
+            rows(&combine(&ma, &mb, |x, y| x || y)));
+        let mut d = a.clone();
+        d.subtract(&b);
+        prop_assert_eq!(d.iter_ones().collect::<Vec<_>>(),
+            rows(&combine(&ma, &mb, |x, y| x && !y)));
 
-/// A mid-size seeded transaction database (no RNG dependency).
-fn synthetic_db(n_rows: usize, n_attrs: usize, arity: u32) -> TransactionSet {
-    let mut state = 0x1234_5678_9abc_def0u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut rows = Vec::with_capacity(n_rows);
-    let mut labels = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
-        let row: Vec<Item> = (0..n_attrs)
-            .map(|a| Item(a as u32 * arity + (next() % arity as u64) as u32))
-            .collect();
-        rows.push(row);
-        labels.push(ClassId((next() % 2) as u32));
+        // One scratch slot reused down a path a → a∩b → a∩b∩c, as the
+        // closed miner and Eclat do per depth.
+        let mut slot = Bitset::full(len);
+        slot.copy_from(&a);
+        prop_assert_eq!(&slot, &a);
+        slot.intersect_with_count(&b);
+        prop_assert_eq!(&slot, &ab);
+        let abc = combine(&and, &mc, |x, y| x && y);
+        prop_assert_eq!(slot.intersect_with_count(&c), rows(&abc).len());
+        prop_assert_eq!(slot.iter_ones().collect::<Vec<_>>(), rows(&abc));
+        slot.clear();
+        prop_assert!(slot.is_empty());
     }
-    TransactionSet::new(n_attrs * arity as usize, 2, rows, labels)
-}
-
-/// Eclat and the closed miner each emit the identical pattern stream —
-/// same order, same supports — under all three `DFP_BITSET` modes.
-#[test]
-fn eclat_identical_across_modes() {
-    let _guard = MODE_LOCK.lock().unwrap();
-    let ts = synthetic_db(4000, 10, 4);
-    let min_sup = ts.len() / 5;
-    let opts = MineOptions::default();
-    for name in ["eclat", "closed"] {
-        let mut results = Vec::new();
-        for mode in [BitsetMode::Dense, BitsetMode::Compressed, BitsetMode::Auto] {
-            set_mode_override(Some(mode));
-            let mined = match name {
-                "eclat" => eclat::mine(&ts, min_sup, &opts),
-                _ => closed::mine_closed(&ts, min_sup, &opts),
-            };
-            results.push(mined.unwrap());
-        }
-        set_mode_override(None);
-        assert!(
-            !results[0].is_empty(),
-            "degenerate test: {name} mined nothing"
-        );
-        assert_eq!(results[0], results[1], "{name}: dense vs compressed");
-        assert_eq!(results[0], results[2], "{name}: dense vs auto");
-    }
-}
-
-/// Class-support attachment (batched scan) is mode-invariant too.
-#[test]
-fn class_supports_identical_across_modes() {
-    let _guard = MODE_LOCK.lock().unwrap();
-    let ts = synthetic_db(3000, 8, 3);
-    let min_sup = ts.len() / 4;
-    set_mode_override(Some(BitsetMode::Dense));
-    let raw = eclat::mine(&ts, min_sup, &MineOptions::default()).unwrap();
-    let mut attached = Vec::new();
-    for mode in [BitsetMode::Dense, BitsetMode::Compressed, BitsetMode::Auto] {
-        set_mode_override(Some(mode));
-        attached.push(dfpc::mining::count::attach_class_supports(&ts, &raw));
-    }
-    set_mode_override(None);
-    assert_eq!(attached[0], attached[1], "dense vs compressed");
-    assert_eq!(attached[0], attached[2], "dense vs auto");
 }
