@@ -4,8 +4,9 @@
 //! I/O timeouts, the pending-work queue depth (load shedding), the maximum
 //! request body, the maximum rows per prediction batch, and the per-request
 //! deadline. [`ServerConfig::from_env`] reads the `DFP_SERVE_*` variables so
-//! deployments can retune without a rebuild; defaults preserve the
-//! historical behavior.
+//! deployments can retune without a rebuild; [`ServerConfig::default`]
+//! reads no environment variable, and its values preserve the historical
+//! behavior.
 
 use dfp_obs::SloSpec;
 use std::time::Duration;
@@ -13,7 +14,8 @@ use std::time::Duration;
 /// Tuning knobs for [`crate::serve_with_config`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
-    /// Per-connection read/write timeout (`DFP_SERVE_IO_TIMEOUT_MS`).
+    /// Longest a single read or write on a connection may wait
+    /// (`DFP_SERVE_IO_TIMEOUT_MS`); reads also stop at the request deadline.
     pub io_timeout: Duration,
     /// Pending connections allowed in the worker queue before new ones are
     /// shed with `503` (`DFP_SERVE_QUEUE_DEPTH`).
@@ -26,7 +28,8 @@ pub struct ServerConfig {
     pub max_rows: usize,
     /// Wall-clock budget per request, measured from accept
     /// (`DFP_SERVE_DEADLINE_MS`); requests still unanswered at the deadline
-    /// get `503` instead of holding a worker.
+    /// get `503` instead of holding a worker, and a connection whose request
+    /// has not fully arrived by then is closed without an answer.
     pub request_deadline: Duration,
     /// Worker threads; `0` resolves like the parallel runtime
     /// (`DFP_THREADS`, else the machine).
@@ -74,22 +77,6 @@ pub struct ServerConfig {
     /// Tail-sampled trace reservoir capacity (`DFP_TAIL_CAP`, default 64);
     /// `DFP_TAIL=0/off/false` forces it to `0`, which disables capture.
     pub tail_capacity: usize,
-    /// Whether the nonblocking readiness loop replaces the thread-per-
-    /// connection accept path (`DFP_SERVE_EVENT_LOOP`; `1`/`on`/`true`
-    /// enables). The env variable is read by `Default` too, so one export
-    /// flips every server a test suite builds. Falls back to the threaded
-    /// core when the reactor cannot start (non-Linux, epoll failure).
-    pub event_loop: bool,
-    /// Most concurrent connections the readiness loop holds open
-    /// (`DFP_SERVE_MAX_CONNS`); further accepts are answered `503` and
-    /// closed. Idle keep-alive connections count against this, not against
-    /// worker threads. Ignored by the threaded core.
-    pub max_conns: usize,
-    /// Longest a connection may dawdle between its first byte and a
-    /// complete request head+body before the readiness loop answers `408`
-    /// and closes it (`DFP_SERVE_HEAD_TIMEOUT_MS`). This is the slowloris
-    /// guard; idle keep-alive connections between requests are untimed.
-    pub head_timeout: Duration,
 }
 
 impl Default for ServerConfig {
@@ -112,9 +99,6 @@ impl Default for ServerConfig {
             slo_file: None,
             slos: Vec::new(),
             tail_capacity: 64,
-            event_loop: env_flag("DFP_SERVE_EVENT_LOOP"),
-            max_conns: 10_240,
-            head_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -183,12 +167,6 @@ impl ServerConfig {
         }
         if let Some(n) = env_u64("DFP_TAIL_CAP") {
             cfg.tail_capacity = n as usize;
-        }
-        if let Some(n) = env_u64("DFP_SERVE_MAX_CONNS") {
-            cfg.max_conns = (n as usize).max(1);
-        }
-        if let Some(ms) = env_u64("DFP_SERVE_HEAD_TIMEOUT_MS") {
-            cfg.head_timeout = Duration::from_millis(ms.max(1));
         }
         if let Ok(v) = std::env::var("DFP_TAIL") {
             let v = v.trim().to_ascii_lowercase();
@@ -303,26 +281,6 @@ impl ServerConfig {
         self
     }
 
-    /// Selects the nonblocking readiness loop (`true`) or the threaded
-    /// accept path (`false`) regardless of `DFP_SERVE_EVENT_LOOP`.
-    pub fn with_event_loop(mut self, on: bool) -> Self {
-        self.event_loop = on;
-        self
-    }
-
-    /// Replaces the readiness loop's concurrent-connection cap.
-    pub fn with_max_conns(mut self, n: usize) -> Self {
-        self.max_conns = n.max(1);
-        self
-    }
-
-    /// Replaces the slowloris guard: the budget from a connection's first
-    /// byte to a complete request.
-    pub fn with_head_timeout(mut self, d: Duration) -> Self {
-        self.head_timeout = d.max(Duration::from_millis(1));
-        self
-    }
-
     /// The resolved worker count.
     pub fn resolved_threads(&self) -> usize {
         if self.threads == 0 {
@@ -335,18 +293,6 @@ impl ServerConfig {
 
 fn env_u64(name: &str) -> Option<u64> {
     std::env::var(name).ok()?.trim().parse().ok()
-}
-
-/// `1`/`on`/`true` (case-insensitive) turn the flag on; everything else —
-/// including unset — leaves it off.
-fn env_flag(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            v == "1" || v == "on" || v == "true"
-        }
-        Err(_) => false,
-    }
 }
 
 #[cfg(test)]
@@ -388,20 +334,6 @@ mod tests {
         assert_eq!(cfg.queue_depth, 1);
         assert_eq!(cfg.max_rows, 1);
         assert_eq!(cfg.batch_max, 1);
-    }
-
-    #[test]
-    fn reactor_knobs_default_sane() {
-        let cfg = ServerConfig::default();
-        assert!(cfg.max_conns >= 1024);
-        assert!(cfg.head_timeout >= Duration::from_millis(1));
-        let on = cfg
-            .with_event_loop(true)
-            .with_max_conns(0)
-            .with_head_timeout(Duration::ZERO);
-        assert!(on.event_loop);
-        assert_eq!(on.max_conns, 1);
-        assert_eq!(on.head_timeout, Duration::from_millis(1));
     }
 
     #[test]

@@ -1,22 +1,14 @@
 //! A deliberately minimal HTTP/1.1 subset: enough to parse the request line,
-//! headers and a `Content-Length` body, and to write plain responses. No
-//! chunked encoding — the serving layer favours predictability over protocol
-//! coverage. The blocking core closes every connection after one exchange;
-//! the event-driven core ([`crate::reactor`]) reuses connections when the
-//! client allows it, via the `keep_alive` flag on [`render_response`].
-//!
-//! Both serving cores parse with the same [`parse_head`] and render with the
-//! same [`render_response`], so their wire behavior cannot drift: the
-//! incremental connection FSM ([`crate::conn`]) and the blocking
-//! [`read_request_limited`] are thin delivery layers over identical logic.
+//! headers and a `Content-Length` body, and to render plain responses. No
+//! chunked encoding and no connection reuse — the serving layer favours
+//! predictability over protocol coverage, so every connection carries one
+//! exchange and every response says `Connection: close`.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
-/// Upper bound on request-head bytes (request line + headers).
+/// Upper bound on request-head bytes (request line + headers, the bytes
+/// before the `\r\n\r\n` terminator).
 pub const MAX_HEAD: usize = 16 * 1024;
-/// Default upper bound on body bytes (a prediction batch); configurable per
-/// server via [`crate::config::ServerConfig::max_body_bytes`].
-pub const DEFAULT_MAX_BODY: usize = 16 * 1024 * 1024;
 
 /// A parsed request.
 #[derive(Debug, PartialEq, Eq)]
@@ -52,26 +44,34 @@ pub enum HttpError {
     TooLarge,
 }
 
-/// Reads one request from the stream with the default body limit.
-pub fn read_request<S: Read>(stream: &mut S) -> Result<Request, HttpError> {
-    read_request_limited(stream, DEFAULT_MAX_BODY)
-}
-
 /// Reads one request from the stream, rejecting bodies over `max_body`
 /// bytes with [`HttpError::TooLarge`] — before buffering them.
+///
+/// The head limit is a property of the bytes alone, whatever sizes the
+/// reads return: a head of at most [`MAX_HEAD`] bytes is accepted, and a
+/// longer one is rejected as soon as more than `MAX_HEAD + 3` bytes hold no
+/// terminator (a terminator starting at `MAX_HEAD` still fits in that).
 pub fn read_request_limited<S: Read>(
     stream: &mut S,
     max_body: usize,
 ) -> Result<Request, HttpError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
+    // Bytes already searched; a terminator may straddle the last read, so
+    // the next search starts three bytes before them.
+    let mut searched: usize = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
+        let from = searched.saturating_sub(3);
+        if let Some(pos) = find_head_end(&buf[from..]) {
+            if from + pos > MAX_HEAD {
+                return Err(HttpError::TooLarge);
+            }
+            break from + pos;
         }
-        if buf.len() > MAX_HEAD {
+        if buf.len() > MAX_HEAD + 3 {
             return Err(HttpError::TooLarge);
         }
+        searched = buf.len();
         let n = stream.read(&mut chunk).map_err(|_| HttpError::Io)?;
         if n == 0 {
             return Err(HttpError::Io);
@@ -97,10 +97,8 @@ pub fn read_request_limited<S: Read>(
     Ok(head.into_request(body))
 }
 
-/// A parsed request head: everything before the body, plus the framing
-/// facts (`Content-Length`, HTTP version) the delivery layer needs. Both
-/// the blocking reader and the incremental connection FSM build requests
-/// through this one type, so parse behavior cannot drift between them.
+/// A parsed request head: everything before the body, plus the
+/// `Content-Length` the reader needs to frame the body.
 #[derive(Debug)]
 pub struct ParsedHead {
     /// Request method, as received.
@@ -111,9 +109,6 @@ pub struct ParsedHead {
     pub headers: Vec<(String, String)>,
     /// Declared body length (`0` when no `Content-Length` was sent).
     pub content_length: usize,
-    /// Whether the request line said `HTTP/1.0` (affects keep-alive
-    /// defaults: 1.0 closes unless the client asked to keep alive).
-    pub http10: bool,
 }
 
 impl ParsedHead {
@@ -124,23 +119,6 @@ impl ParsedHead {
             path: self.path,
             headers: self.headers,
             body,
-        }
-    }
-
-    /// Whether the connection may serve another request after this one:
-    /// HTTP/1.1 defaults to keep-alive unless the client sent
-    /// `Connection: close`; HTTP/1.0 defaults to close unless the client
-    /// sent `Connection: keep-alive`.
-    pub fn keep_alive(&self) -> bool {
-        let connection = self
-            .headers
-            .iter()
-            .find(|(n, _)| n == "connection")
-            .map(|(_, v)| v.as_str());
-        if self.http10 {
-            connection.is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"))
-        } else {
-            !connection.is_some_and(|v| v.eq_ignore_ascii_case("close"))
         }
     }
 }
@@ -160,13 +138,12 @@ pub fn parse_head(head: &[u8]) -> Result<ParsedHead, HttpError> {
         .next()
         .ok_or(HttpError::BadRequest("missing path"))?
         .to_string();
-    let version = parts.next();
-    if !version
+    if !parts
+        .next()
         .is_some_and(|v| v.eq_ignore_ascii_case("HTTP/1.1") || v.eq_ignore_ascii_case("HTTP/1.0"))
     {
         return Err(HttpError::BadRequest("missing or unsupported HTTP version"));
     }
-    let http10 = version.is_some_and(|v| v.eq_ignore_ascii_case("HTTP/1.0"));
 
     let mut content_length = 0usize;
     let mut headers = Vec::new();
@@ -187,62 +164,24 @@ pub fn parse_head(head: &[u8]) -> Result<ParsedHead, HttpError> {
         path,
         headers,
         content_length,
-        http10,
     })
 }
 
 /// Offset of the `\r\n\r\n` head terminator, if present.
-pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
+fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Writes a complete response and flushes it.
-pub fn write_response<S: Write>(
-    stream: &mut S,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-) -> std::io::Result<()> {
-    write_response_with(stream, status, reason, content_type, &[], body)
-}
-
-/// Like [`write_response`], with extra headers (e.g. `Retry-After`).
-pub fn write_response_with<S: Write>(
-    stream: &mut S,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(
-        status,
-        reason,
-        content_type,
-        extra_headers,
-        body,
-        false,
-    ))?;
-    stream.flush()
-}
-
-/// Renders a complete response to bytes. The single renderer behind both
-/// serving cores: the blocking path writes these bytes directly (always
-/// `Connection: close`), the event loop buffers them and keeps the
-/// connection open when `keep_alive` is set — so the two paths differ on
-/// the wire by exactly that one header and nothing else.
+/// Renders a complete response to bytes, always with `Connection: close`.
 pub fn render_response(
     status: u16,
     reason: &str,
     content_type: &str,
     extra_headers: &[(&str, &str)],
     body: &[u8],
-    keep_alive: bool,
 ) -> Vec<u8> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
     let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
         body.len()
     );
     for (name, value) in extra_headers {
@@ -261,10 +200,14 @@ pub fn render_response(
 mod tests {
     use super::*;
 
+    fn read(raw: &[u8]) -> Result<Request, HttpError> {
+        read_request_limited(&mut &raw[..], 16 * 1024 * 1024)
+    }
+
     #[test]
     fn parses_get() {
         let raw = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let req = read(raw).unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz");
         assert!(req.body.is_empty());
@@ -276,7 +219,7 @@ mod tests {
     #[test]
     fn headers_are_lowercased_and_trimmed() {
         let raw = b"GET / HTTP/1.1\r\nX-Request-Id:  abc-123 \r\n\r\n";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let req = read(raw).unwrap();
         assert_eq!(req.header("X-Request-Id"), Some("abc-123"));
         assert_eq!(req.headers[0].0, "x-request-id");
     }
@@ -284,7 +227,7 @@ mod tests {
     #[test]
     fn parses_post_with_body() {
         let raw = b"POST /predict HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let req = read(raw).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.body, b"hello");
     }
@@ -292,23 +235,20 @@ mod tests {
     #[test]
     fn body_truncated_to_content_length() {
         let raw = b"POST /p HTTP/1.1\r\nContent-Length: 2\r\n\r\nabcdef";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let req = read(raw).unwrap();
         assert_eq!(req.body, b"ab");
     }
 
     #[test]
     fn rejects_garbage() {
         let raw = b"NOT-HTTP\r\n\r\n";
-        assert!(matches!(
-            read_request(&mut &raw[..]),
-            Err(HttpError::BadRequest(_))
-        ));
+        assert!(matches!(read(raw), Err(HttpError::BadRequest(_))));
     }
 
     #[test]
     fn rejects_oversized_content_length() {
         let raw = b"POST /p HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n";
-        assert_eq!(read_request(&mut &raw[..]), Err(HttpError::TooLarge));
+        assert_eq!(read(raw), Err(HttpError::TooLarge));
     }
 
     #[test]
@@ -324,57 +264,28 @@ mod tests {
     #[test]
     fn eof_mid_request_is_io() {
         let raw = b"GET /x HTTP/1.1\r\n";
-        assert_eq!(read_request(&mut &raw[..]), Err(HttpError::Io));
+        assert_eq!(read(raw), Err(HttpError::Io));
     }
 
     #[test]
     fn response_shape() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "OK", "text/plain", b"yes").unwrap();
+        let out = render_response(200, "OK", "text/plain", &[], b"yes");
         let s = String::from_utf8(out).unwrap();
         assert!(s.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(s.contains("Content-Length: 3\r\n"));
+        assert!(s.contains("Connection: close\r\n"));
         assert!(s.ends_with("\r\n\r\nyes"));
     }
 
     #[test]
-    fn keep_alive_defaults_follow_the_http_version() {
-        let h = parse_head(b"GET / HTTP/1.1\r\nHost: x").unwrap();
-        assert!(h.keep_alive());
-        let h = parse_head(b"GET / HTTP/1.1\r\nConnection: close").unwrap();
-        assert!(!h.keep_alive());
-        let h = parse_head(b"GET / HTTP/1.0\r\nHost: x").unwrap();
-        assert!(!h.keep_alive());
-        let h = parse_head(b"GET / HTTP/1.0\r\nConnection: Keep-Alive").unwrap();
-        assert!(h.keep_alive());
-    }
-
-    #[test]
-    fn render_keep_alive_differs_only_in_the_connection_header() {
-        let close = render_response(200, "OK", "text/plain", &[], b"ok", false);
-        let keep = render_response(200, "OK", "text/plain", &[], b"ok", true);
-        let close = String::from_utf8(close).unwrap();
-        let keep = String::from_utf8(keep).unwrap();
-        assert!(close.contains("Connection: close\r\n"));
-        assert!(keep.contains("Connection: keep-alive\r\n"));
-        assert_eq!(
-            close.replace("Connection: close", "Connection: keep-alive"),
-            keep
-        );
-    }
-
-    #[test]
     fn extra_headers_land_in_head() {
-        let mut out = Vec::new();
-        write_response_with(
-            &mut out,
+        let out = render_response(
             503,
             "Service Unavailable",
             "text/plain",
             &[("Retry-After", "1")],
             b"busy",
-        )
-        .unwrap();
+        );
         let s = String::from_utf8(out).unwrap();
         assert!(s.contains("Retry-After: 1\r\n"));
         assert!(s.ends_with("\r\n\r\nbusy"));

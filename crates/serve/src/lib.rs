@@ -5,18 +5,8 @@
 //! fixed worker pool, a minimal HTTP/1.1 subset, CSV request parsing against
 //! the saved schema, Prometheus-style metrics and graceful shutdown.
 //!
-//! Two interchangeable transports drive the same request brain
-//! ([`server::Engine`]):
-//!
-//! * the **threaded core** (default) — one blocking worker thread per active
-//!   connection, the historical layout;
-//! * the **readiness loop** (`DFP_SERVE_EVENT_LOOP=1`, Linux) — a single
-//!   epoll thread running a pure per-connection state machine
-//!   ([`conn::ConnFsm`]) so idle keep-alive connections cost a slab entry
-//!   instead of a thread, with the same worker pool as the compute stage.
-//!
-//! Responses are byte-identical between the two cores (a property test
-//! enforces it), so which transport is live is purely an operational choice.
+//! Each connection is read, answered and closed by one pooled worker
+//! thread; every response carries `Connection: close`.
 //!
 //! ```no_run
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,7 +22,8 @@
 //! The serving layer degrades by refusal, never by collapse: the worker
 //! pool heals panicking workers in place, saturation sheds connections with
 //! `503` + `Retry-After`, oversized payloads get `413`, and every request
-//! carries a deadline from accept time. Limits live in [`ServerConfig`]
+//! carries a deadline from accept time that bounds both the reading of its
+//! bytes and its answer. Limits live in [`ServerConfig`]
 //! (env-overridable via `DFP_SERVE_*`), and [`client::Client`] retries
 //! transient failures with exponential backoff plus jitter.
 //!
@@ -40,34 +31,28 @@
 //! `dfpc-score` (batch scoring of a CSV file — offline against an artifact,
 //! or remote against a running server).
 
-// `deny` (not `forbid`) so the epoll shim in `sys` can opt back in for its
-// handful of audited syscalls; every other module stays safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod config;
-pub mod conn;
 pub mod http;
 pub mod metrics;
 pub mod observe;
 pub mod pool;
-pub(crate) mod reactor;
 pub mod rows;
 pub mod server;
-mod sys;
 
 pub use batch::BatchScheduler;
 pub use cache::TransformCache;
 pub use client::{Client, ClientError, Response, RetryPolicy};
 pub use config::ServerConfig;
-pub use conn::{ConnEvent, ConnFsm, ConnState, WriteProgress};
 pub use metrics::Metrics;
 pub use observe::ServeObs;
 pub use pool::ThreadPool;
 pub use rows::{parse_rows, render_labels};
 pub use server::{
-    registry_validator, serve, serve_registry_with_config, serve_with_config, Engine, ServerHandle,
+    registry_validator, serve, serve_registry_with_config, serve_with_config, ServerHandle,
 };

@@ -55,15 +55,6 @@ pub struct Metrics {
     pub scrape_seconds: Arc<Histogram>,
     /// Bytes of the most recent `/metrics` exposition.
     pub scrape_bytes: Arc<Gauge>,
-    /// Connections currently open in the readiness loop (idle keep-alive
-    /// included); `0` under the threaded core.
-    pub open_connections: Arc<Gauge>,
-    /// Connections the readiness loop has accepted.
-    pub conns_accepted_total: Arc<Counter>,
-    /// Connections closed with `408` by the slowloris guard.
-    pub head_timeouts_total: Arc<Counter>,
-    /// Connections refused with `503` at the `max_conns` ceiling.
-    pub conn_limit_rejected_total: Arc<Counter>,
 }
 
 impl Default for Metrics {
@@ -134,22 +125,6 @@ impl Metrics {
             "dfp_scrape_bytes",
             "Bytes of the most recent /metrics exposition",
         );
-        let open_connections = registry.gauge(
-            "dfp_serve_open_connections",
-            "Connections currently open in the readiness loop",
-        );
-        let conns_accepted_total = registry.counter(
-            "dfp_serve_conns_accepted_total",
-            "Connections accepted by the readiness loop",
-        );
-        let head_timeouts_total = registry.counter(
-            "dfp_serve_head_timeouts_total",
-            "Connections closed with 408 by the slowloris guard",
-        );
-        let conn_limit_rejected_total = registry.counter(
-            "dfp_serve_conn_limit_rejected_total",
-            "Connections refused at the max_conns ceiling",
-        );
         Metrics {
             registry,
             requests_total,
@@ -167,10 +142,6 @@ impl Metrics {
             transform_cache_misses_total,
             scrape_seconds,
             scrape_bytes,
-            open_connections,
-            conns_accepted_total,
-            head_timeouts_total,
-            conn_limit_rejected_total,
         }
     }
 
@@ -337,19 +308,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("dfp_serve_batches_total 1\n"));
-    }
-
-    #[test]
-    fn connection_families_render() {
-        let m = Metrics::new();
-        m.open_connections.set(12);
-        m.conns_accepted_total.add(40);
-        m.head_timeouts_total.inc();
-        let text = m.render();
-        assert!(text.contains("dfp_serve_open_connections 12"));
-        assert!(text.contains("dfp_serve_conns_accepted_total 40"));
-        assert!(text.contains("dfp_serve_head_timeouts_total 1"));
-        assert!(text.contains("dfp_serve_conn_limit_rejected_total 0"));
     }
 
     #[test]

@@ -21,24 +21,22 @@
 //! The last four exist when the TSDB stack is enabled ([`ServerConfig`]
 //! `tsdb`, default on) and answer `404` otherwise.
 //!
+//! Transport: one accept thread hands each connection to a pooled worker,
+//! which reads one request, answers it and closes the connection.
+//!
 //! Robustness: all limits come from [`ServerConfig`] (env-overridable);
 //! the pool recovers panicking workers in place (`worker_respawns_total`);
 //! connections beyond the pending-queue depth are shed with `503` +
 //! `Retry-After` instead of queueing unboundedly; and each request carries a
 //! deadline from accept time so an overloaded server answers `503` rather
-//! than holding a worker past its budget.
+//! than holding a worker past its budget, and a client that trickles its
+//! bytes is cut off at the deadline instead of holding a worker until it
+//! finishes.
 //!
 //! Shutdown: [`ServerHandle::shutdown`] (or dropping the handle) raises a
-//! flag and pokes the listener with a loopback connection so the accept
-//! loop (blocking `accept` or the epoll wait) observes it; the accept
-//! thread then drops the pool, which joins every worker.
-//!
-//! Two transports, one brain: everything above the socket — routing,
-//! limits, metrics, deadline handling, response rendering — lives in
-//! [`Engine`]. The historical thread-per-connection core and the
-//! [`crate::reactor`] readiness loop (`DFP_SERVE_EVENT_LOOP=1`) are both
-//! thin delivery layers over the same `Engine`, so their observable
-//! behavior cannot drift.
+//! flag and pokes the listener with a loopback connection so the blocking
+//! `accept` observes it; the accept thread then drops the pool, which joins
+//! every worker.
 
 use crate::batch::BatchScheduler;
 use crate::cache::TransformCache;
@@ -52,7 +50,7 @@ use dfp_core::PatternClassifier;
 use dfp_data::dataset::{Dataset, Value};
 use dfp_data::schema::ClassId;
 use dfp_registry::{ModelRegistry, SwapError};
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -216,27 +214,6 @@ fn serve_impl(
     let scheduler = engine.scheduler.clone();
     let obs = engine.obs.clone();
 
-    // The reactor's fallible plumbing (epoll instance, wake pipe, listener
-    // registration) is assembled before the accept thread spawns, so a
-    // failure — non-Linux target, fd pressure — degrades to the threaded
-    // core instead of a dead server.
-    let reactor = if engine.cfg.event_loop {
-        match crate::reactor::Reactor::new(&listener) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                let _ = listener.set_nonblocking(false);
-                dfp_obs::log::warn(
-                    "dfp_serve",
-                    "readiness loop unavailable; falling back to the threaded core",
-                    &[("why", &e.to_string())],
-                );
-                None
-            }
-        }
-    } else {
-        None
-    };
-
     let accept_thread = {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
@@ -244,10 +221,7 @@ fn serve_impl(
             .name("dfp-serve-accept".into())
             .spawn(move || {
                 let pool = ThreadPool::bounded(threads, engine.cfg.queue_depth);
-                match reactor {
-                    Some(r) => r.run(listener, engine, pool, stop),
-                    None => blocking_accept_loop(listener, engine, pool, stop),
-                }
+                accept_loop(listener, engine, pool, stop);
                 // pool drops here: channel closes, workers drain and join
             })?
     };
@@ -262,10 +236,9 @@ fn serve_impl(
     })
 }
 
-/// The historical thread-per-connection core: blocking accept, shed at the
-/// accept thread when the pending queue is full, one pooled worker per
-/// connection.
-fn blocking_accept_loop(
+/// Blocking accept, shed at the accept thread when the pending queue is
+/// full, one pooled worker per connection.
+fn accept_loop(
     listener: TcpListener,
     engine: Arc<Engine>,
     pool: ThreadPool,
@@ -326,37 +299,69 @@ fn handle_connection(mut stream: TcpStream, engine: &Engine, accepted: Instant) 
     let queue_wait = accepted.elapsed();
     let _ = stream.set_read_timeout(Some(engine.cfg.io_timeout));
     let _ = stream.set_write_timeout(Some(engine.cfg.io_timeout));
-    let bytes = match read_request_limited(&mut stream, engine.cfg.max_body_bytes) {
-        Ok(request) => engine.respond_to(&request, accepted, queue_wait, false),
+    let mut reader = DeadlineRead {
+        stream: &stream,
+        deadline: accepted + engine.cfg.request_deadline,
+        io_timeout: engine.cfg.io_timeout,
+    };
+    let bytes = match read_request_limited(&mut reader, engine.cfg.max_body_bytes) {
+        Ok(request) => engine.respond_to(&request, accepted, queue_wait),
         Err(e) => match engine.reject_to(&e, accepted) {
             Some(bytes) => bytes,
-            None => return, // peer went away (includes shutdown wake)
+            None => return, // peer went away, or its bytes missed the deadline
         },
     };
     let _ = io::Write::write_all(&mut stream, &bytes);
 }
 
-/// Everything both serving cores share above the transport: the model(s),
-/// limits, metrics, batch scheduler, transform cache and observability
-/// stack, plus the request → response-bytes logic. The blocking worker and
-/// the readiness loop are delivery layers over one `Engine`, which is what
-/// makes their responses byte-comparable (the equivalence the
-/// `tests/conn_fsm.rs` harness asserts).
-pub struct Engine {
+/// The shortest wait a read gets once the deadline is reached: long enough
+/// to take bytes that have already arrived (so a request that queued past
+/// its deadline is still read and answered `503`), too short for a client
+/// still sending to keep the worker.
+const MIN_READ_WAIT: Duration = Duration::from_millis(1);
+
+/// Reads a connection within the request deadline: each read waits at most
+/// `min(io_timeout, deadline − now)`, floored at [`MIN_READ_WAIT`], so a
+/// client that trickles its bytes cannot hold a worker past the request's
+/// budget. A read that runs out of
+/// time fails like any read timeout, and the connection closes unanswered.
+/// The socket's timeout is touched only within `io_timeout` of the
+/// deadline; before that the one set at pickup already bounds each read.
+struct DeadlineRead<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+    io_timeout: Duration,
+}
+
+impl Read for DeadlineRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left < self.io_timeout {
+            self.stream
+                .set_read_timeout(Some(left.max(MIN_READ_WAIT)))?;
+        }
+        self.stream.read(buf)
+    }
+}
+
+/// Everything a worker needs above the socket: the model(s), limits,
+/// metrics, batch scheduler, transform cache and observability stack, plus
+/// the request → response-bytes logic.
+struct Engine {
     model: Option<Arc<PatternClassifier>>,
     registry: Option<Arc<ModelRegistry>>,
-    pub(crate) metrics: Arc<Metrics>,
-    pub(crate) cfg: Arc<ServerConfig>,
-    pub(crate) scheduler: Option<Arc<BatchScheduler>>,
+    metrics: Arc<Metrics>,
+    cfg: Arc<ServerConfig>,
+    scheduler: Option<Arc<BatchScheduler>>,
     cache: Option<Arc<TransformCache>>,
-    pub(crate) obs: Option<Arc<ServeObs>>,
+    obs: Option<Arc<ServeObs>>,
 }
 
 impl Engine {
-    /// Assembles the shared serving brain: metrics, the batch scheduler
+    /// Assembles the shared serving state: metrics, the batch scheduler
     /// (when `batch_max > 1` and a default model exists), the transform
     /// cache and the TSDB stack, per `cfg`.
-    pub fn new(
+    fn new(
         model: Option<PatternClassifier>,
         registry: Option<Arc<ModelRegistry>>,
         cfg: ServerConfig,
@@ -395,24 +400,10 @@ impl Engine {
         }
     }
 
-    /// Live serving metrics (exposed for the test harness).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
     /// Answers a complete request: deadline check, routing, metrics, tail
     /// capture, access log — returns the rendered response bytes.
-    /// `queue_wait` is the accept→pickup delay already incurred;
-    /// `keep_alive` says whether the transport intends to reuse the
-    /// connection (the rendered `Connection` header is the only byte-level
-    /// difference it makes).
-    pub fn respond_to(
-        &self,
-        request: &Request,
-        accepted: Instant,
-        queue_wait: Duration,
-        keep_alive: bool,
-    ) -> Vec<u8> {
+    /// `queue_wait` is the accept→pickup delay already incurred.
+    fn respond_to(&self, request: &Request, accepted: Instant, queue_wait: Duration) -> Vec<u8> {
         self.metrics.observe_queue_wait(queue_wait);
         let mut sp = dfp_obs::span("serve.request");
         sp.attr("queue_wait_ns", queue_wait.as_nanos());
@@ -458,7 +449,6 @@ impl Engine {
             reason,
             &body,
             accepted,
-            keep_alive,
         );
         if let (Some(o), Some(capture)) = (self.obs.as_deref(), capture.take()) {
             o.tail().finish(
@@ -475,9 +465,8 @@ impl Engine {
 
     /// The response to a stream that never produced a parseable request:
     /// `413` for limit violations, `400` for malformed bytes, `None` for a
-    /// peer that simply went away (close silently). Always
-    /// `Connection: close` — the stream is unframed past the error.
-    pub fn reject_to(&self, err: &HttpError, accepted: Instant) -> Option<Vec<u8>> {
+    /// peer that simply went away (close silently).
+    fn reject_to(&self, err: &HttpError, accepted: Instant) -> Option<Vec<u8>> {
         let (status, reason, body): (u16, &'static str, String) = match err {
             HttpError::Io => return None,
             HttpError::TooLarge => (413, "Payload Too Large", "request too large\n".to_string()),
@@ -492,14 +481,12 @@ impl Engine {
             reason,
             &body,
             accepted,
-            false,
         ))
     }
 
-    /// The load-shedding `503` (queue full), with its metrics and warn log.
-    /// Used by the blocking accept thread before reading the request, and
-    /// by the reactor at dispatch time and at the `max_conns` ceiling.
-    pub(crate) fn shed_response(&self) -> Vec<u8> {
+    /// The load-shedding `503` (queue full), with its metrics and warn log,
+    /// sent by the accept thread before the request is read.
+    fn shed_response(&self) -> Vec<u8> {
         let rid = fresh_request_id();
         self.metrics.requests_total.inc();
         self.metrics.observe_error(503);
@@ -510,35 +497,11 @@ impl Engine {
             "text/plain",
             &[("Retry-After", RETRY_AFTER_SECS), ("X-Request-Id", &rid)],
             SHED_BODY,
-            false,
         );
         dfp_obs::log::warn(
             "dfp_serve",
             "request shed: pending queue full",
             &[("request_id", &rid), ("status", "503")],
-        );
-        bytes
-    }
-
-    /// The slowloris `408`: a connection produced its first byte but no
-    /// complete request within the configured head timeout.
-    pub(crate) fn timeout_response(&self) -> Vec<u8> {
-        let rid = fresh_request_id();
-        self.metrics.requests_total.inc();
-        self.metrics.observe_error(408);
-        self.metrics.head_timeouts_total.inc();
-        let bytes = render_response(
-            408,
-            "Request Timeout",
-            "text/plain",
-            &[("X-Request-Id", &rid)],
-            b"request header timeout\n",
-            false,
-        );
-        dfp_obs::log::warn(
-            "dfp_serve",
-            "connection timed out before a complete request",
-            &[("request_id", &rid), ("status", "408")],
         );
         bytes
     }
@@ -556,7 +519,6 @@ impl Engine {
         reason: &str,
         body: &str,
         accepted: Instant,
-        keep_alive: bool,
     ) -> Vec<u8> {
         if status >= 400 {
             self.metrics.observe_error(status);
@@ -578,14 +540,7 @@ impl Engine {
         } else {
             "text/plain"
         };
-        let bytes = render_response(
-            status,
-            reason,
-            content_type,
-            &headers,
-            body.as_bytes(),
-            keep_alive,
-        );
+        let bytes = render_response(status, reason, content_type, &headers, body.as_bytes());
         if dfp_obs::log::enabled(dfp_obs::log::Level::Info) {
             let status = status.to_string();
             let elapsed_us = accepted.elapsed().as_micros().to_string();

@@ -10,7 +10,7 @@ use dfp_serve::{Client, RetryPolicy, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Failpoint state is process-global; every test here serialises on this.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -319,82 +319,13 @@ fn readyz_distinguishes_liveness_from_readiness() {
     handle.shutdown();
 }
 
-// ---------------------------------------------------------------------------
-// Event-loop-forced legs. The tests above flip cores via DFP_SERVE_EVENT_LOOP
-// (the CI matrix re-runs the whole suite that way); these pin the readiness
-// loop explicitly so its fault handling is exercised even in the default leg.
-// Off Linux `with_event_loop(true)` falls back to the threaded core, where
-// every invariant asserted here must hold just the same.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn event_loop_survives_accept_fault() {
-    let _guard = lock_faults();
-    let handle = serve_with(
-        ServerConfig::default()
-            .with_threads(1)
-            .with_event_loop(true),
-    );
-    let addr = handle.addr();
-
-    // The reactor evaluates the same `serve.accept` failpoint as the
-    // threaded accept loop: the poisoned connection is dropped unanswered,
-    // the loop itself keeps running.
-    dfp_fault::arm_times("serve.accept", dfp_fault::Action::Err, Some(1));
-    assert_eq!(try_http(addr, "GET", "/healthz", ""), None);
-
-    let (status, body) = http(addr, "GET", "/healthz", "");
-    assert_eq!(status, 200);
-    assert_eq!(body, "ok\n");
-    handle.shutdown();
-}
-
-#[test]
-fn event_loop_worker_panic_closes_without_answer_and_heals() {
-    let _guard = lock_faults();
-    let handle = serve_with(
-        ServerConfig::default()
-            .with_threads(2)
-            .with_event_loop(true),
-    );
-    let addr = handle.addr();
-
-    // A worker panic unwinds past the completion guard, which reports the
-    // connection as unanswerable; the reactor closes it without inventing a
-    // response and without taking the loop down.
-    dfp_fault::arm_times("serve.worker", dfp_fault::Action::Panic, Some(2));
-    for _ in 0..2 {
-        assert_eq!(try_http(addr, "POST", "/predict", "v1,v1,v0\n"), None);
-    }
-    dfp_fault::disarm("serve.worker");
-
-    let (status, body) = http(addr, "POST", "/predict", "v1,v1,v0\n");
-    assert_eq!(status, 200);
-    assert_eq!(body, "c0\n");
-
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let (_, metrics) = http(addr, "GET", "/metrics", "");
-        if counter(&metrics, "dfp_serve_worker_respawns_total") >= 2 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "respawns not surfaced:\n{metrics}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    handle.shutdown();
-}
-
 #[test]
 fn shed_path_survives_clients_that_reset_instead_of_reading() {
     let _guard = lock_faults();
     let cfg = ServerConfig::default()
         .with_threads(1)
         .with_queue_depth(1)
-        .with_request_deadline(Duration::from_secs(30))
-        .with_event_loop(true);
+        .with_request_deadline(Duration::from_secs(30));
     let handle = serve_with(cfg);
     let addr = handle.addr();
 
@@ -404,8 +335,8 @@ fn shed_path_survives_clients_that_reset_instead_of_reading() {
 
     // Overflow clients send a request and hang up immediately, never reading
     // the shed 503. Closing with the response still in flight makes the
-    // kernel answer the server's write with EPIPE/ECONNRESET — the loop must
-    // swallow that per-connection, not die or wedge on it.
+    // kernel answer the server's write or drain with EPIPE/ECONNRESET — the
+    // accept thread must swallow that per-connection, not die or wedge on it.
     for _ in 0..3 {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.write_all(b"POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: 9\r\n\r\nv1,v2,v0\n")
@@ -422,36 +353,50 @@ fn shed_path_survives_clients_that_reset_instead_of_reading() {
 }
 
 #[test]
-fn event_loop_shutdown_mid_burst_never_yields_spurious_500() {
+fn trickling_client_is_cut_off_at_the_request_deadline() {
     let _guard = lock_faults();
-    // Mirrors `shutdown_never_yields_spurious_500` (batching.rs) with the
-    // readiness loop pinned on: racing clients either get a complete,
-    // correct 200 or see the connection refused/closed — never a 500 or a
-    // truncated body invented by the drain path.
-    for round in 0..3 {
-        let cfg = ServerConfig::default()
-            .with_threads(4)
-            .with_batch_max(8)
-            .with_batch_wait(Duration::from_millis(20))
-            .with_event_loop(true);
-        let handle = serve_with(cfg);
-        let addr = handle.addr();
+    // One worker, a 1 s request budget and the default 10 s I/O timeout: a
+    // client that sends a byte every 250 ms never lets a single read time
+    // out, so only the request deadline can free the worker.
+    let handle = serve_with(
+        ServerConfig::default()
+            .with_threads(1)
+            .with_request_deadline(Duration::from_secs(1)),
+    );
+    let addr = handle.addr();
 
-        let clients: Vec<_> = (0..8)
-            .map(|_| std::thread::spawn(move || try_http(addr, "POST", "/predict", "v1,v1,v0\n")))
-            .collect();
-        std::thread::sleep(Duration::from_millis(5));
-        handle.shutdown();
-
-        for c in clients {
-            if let Some((status, body)) = c.join().expect("client thread") {
-                assert_ne!(status, 500, "round {round}: spurious 500: {body}");
-                if status == 200 {
-                    assert_eq!(body, "c0\n", "round {round}: truncated answer");
-                }
+    let mut slow = TcpStream::connect(addr).expect("connect");
+    let connected = Instant::now();
+    let trickler = std::thread::spawn(move || {
+        // At most 4 s of trickle; a write fails once the server hangs up.
+        for &byte in &b"GET /healthz HTTP/1.1\r\n"[..16] {
+            if slow.write_all(&[byte]).is_err() {
+                break;
             }
+            std::thread::sleep(Duration::from_millis(250));
         }
-    }
+        slow.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let mut answer = Vec::new();
+        let _ = slow.read_to_end(&mut answer);
+        answer
+    });
+
+    // 1.5 s in, the trickler's deadline has passed: the worker is free and a
+    // fresh request is answered at once, not after the trickler gives up.
+    std::thread::sleep(Duration::from_millis(1500).saturating_sub(connected.elapsed()));
+    let sent = Instant::now();
+    let (status, body) = http(addr, "GET", "/healthz", "");
+    let waited = sent.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        waited < Duration::from_millis(500),
+        "queued {waited:?} behind the trickler"
+    );
+
+    // The trickler itself is closed without an answer, like a read timeout.
+    let answer = trickler.join().expect("trickler thread");
+    assert!(answer.is_empty(), "{}", String::from_utf8_lossy(&answer));
+    handle.shutdown();
 }
 
 #[test]
