@@ -11,11 +11,13 @@
 //!
 //! Shrinking (Hsieh et al. §3.2): a pass visits only the active set, which
 //! drops variables that look bound at the optimum, so once most α sit at 0
-//! a pass costs a fraction of a full one. A solve converges only on a full
-//! pass over all n variables with max |PG| < `tol`, and every
-//! `FULL_PASS_EVERY`-th pass is full. Tests check solves against the
-//! non-shrinking solver with a duality-gap certificate: on a converged
-//! solve, primal minus dual is at most `2·n·C·tol`.
+//! a pass costs a fraction of a full one. Every `FULL_PASS_EVERY`-th pass
+//! is full: it visits all n variables and shrinks none. After each full
+//! pass one O(nnz) sweep computes the primal value P(w) and the dual value
+//! D(α); the optimum lies between them, so the solve stops, certified, once
+//! the duality gap P − D is at most `tol`·P. Tests check the certificate
+//! with a dual value computed independently, and check each solve against
+//! the non-shrinking solver run to a tight projected-gradient tolerance.
 
 use crate::{sparse_dot, Classifier};
 use dfp_data::features::SparseBinaryMatrix;
@@ -29,12 +31,15 @@ use rand::SeedableRng;
 pub struct LinearSvmParams {
     /// Regularisation constant `C`.
     pub c: f64,
-    /// Stop when the largest projected-gradient violation in a full pass,
-    /// one over all n variables, falls below this tolerance. A pass over
-    /// the shrunk active set that meets it is followed by a full pass.
+    /// Relative duality-gap bound: a solve stops after the first full pass
+    /// whose primal value P and dual value D meet P − D ≤ `tol`·P, so the
+    /// primal value of the returned w is within `tol`·P of the optimum.
+    /// Unlike a projected-gradient rule such as LIBLINEAR's, the bound
+    /// states the accuracy a solve reached.
     pub tol: f64,
     /// Maximum number of passes, full or over the shrunk active set; a
-    /// solve that reaches it counts in `dfp_train_unconverged_total`.
+    /// solve that reaches it without meeting `tol` counts in
+    /// `dfp_train_unconverged_total`.
     pub max_epochs: usize,
     /// Shuffle seed (training is deterministic given the seed).
     pub seed: u64,
@@ -44,7 +49,7 @@ impl Default for LinearSvmParams {
     fn default() -> Self {
         LinearSvmParams {
             c: 1.0,
-            tol: 1e-4,
+            tol: 1e-2,
             max_epochs: 1000,
             seed: 0x5eed,
         }
@@ -174,17 +179,20 @@ impl Classifier for LinearSvm {
 }
 
 /// Every this many passes, the solver visits all n variables whatever the
-/// active set. Plain LIBLINEAR shrinking re-checks a shrunk variable only
-/// once the active set meets `tol`, which a solve stopped at `max_epochs`
-/// never reaches. On austral's model-selection folds, plain shrinking left
-/// the C = 10 solves (all stopped at the cap) a 19× larger median relative
-/// duality gap than full passes, and converged fewer C = 1 solves; at 20,
-/// one more solve stopped at the cap than with full passes alone.
+/// active set, and then tests the duality gap. A full pass restores the
+/// variables shrinking dropped, so plain LIBLINEAR shrinking, which
+/// restores them only once the active set meets its tolerance, was not
+/// used: on austral's model-selection folds it left the C = 10 solves
+/// (then all stopped at the cap) a 19× larger median relative duality gap
+/// than full passes. The gap test costs one more O(nnz) sweep per full
+/// pass, so a solve stops at most `FULL_PASS_EVERY − 1` passes after it
+/// could have.
 const FULL_PASS_EVERY: usize = 10;
 
 /// Dual coordinate descent for one binary problem; returns the augmented
-/// weight vector (bias last) and the dual variables α. A solve that stops
-/// at `max_epochs` without converging counts in
+/// weight vector (bias last) and the dual variables α. Each solve counts
+/// in `dfp_train_solves_total` and its passes in `dfp_train_passes_total`;
+/// one that stops at `max_epochs` without meeting `tol` also counts in
 /// `dfp_train_unconverged_total`.
 fn train_binary(
     rows: &[Vec<u32>],
@@ -192,30 +200,33 @@ fn train_binary(
     n_features: usize,
     params: &LinearSvmParams,
 ) -> (Vec<f64>, Vec<f64>) {
-    let (w, alpha, converged) = solve_dual(rows, y, n_features, params);
+    use dfp_obs::metrics::dfp;
+    let (w, alpha, passes, converged) = solve_dual(rows, y, n_features, params);
+    dfp::train_solves().inc();
+    dfp::train_passes().add(passes as u64);
     if !converged {
-        dfp_obs::metrics::dfp::train_unconverged().inc();
+        dfp::train_unconverged().inc();
     }
     (w, alpha)
 }
 
-/// The shrinking solver behind [`train_binary`]; returns w, α and whether
-/// it converged.
+/// The shrinking solver behind [`train_binary`]; returns w, α, the number
+/// of passes made and whether the gap met `tol`.
 ///
 /// Each pass visits the active set in a fresh random order. A variable at
 /// α = 0 whose gradient is above the previous pass's largest projected
 /// gradient, or at α = C with one below the smallest, leaves the set: it
-/// looks bound at the optimum. A full pass restores all n variables and
-/// shrinks none. One follows each pass that meets `tol` on the active set,
-/// and every [`FULL_PASS_EVERY`]-th pass is one. Only a full pass with
-/// max |PG| < `tol` converges. Every decision reads `g` and α alone, so
-/// labels `−y` take the same path with w negated.
+/// looks bound at the optimum. Every [`FULL_PASS_EVERY`]-th pass restores
+/// all n variables and shrinks none, and only after such a pass does the
+/// solver test P − D ≤ `tol`·P with [`primal_dual`]. Every decision reads
+/// `g`, α, P and D, none of which changes when labels `−y` negate w, so
+/// those labels take the same path with w negated.
 fn solve_dual(
     rows: &[Vec<u32>],
     y: &[f64],
     n_features: usize,
     params: &LinearSvmParams,
-) -> (Vec<f64>, Vec<f64>, bool) {
+) -> (Vec<f64>, Vec<f64>, usize, bool) {
     let n = rows.len();
     let mut w = vec![0.0f64; n_features + 1];
     let mut alpha = vec![0.0f64; n];
@@ -227,10 +238,9 @@ fn solve_dual(
     let mut rng = StdRng::seed_from_u64(params.seed);
     // The previous pass's projected-gradient extremes; ±∞ shrink nothing.
     let (mut pg_max_old, mut pg_min_old) = (f64::INFINITY, f64::NEG_INFINITY);
-    let mut met_tol = false;
 
     for epoch in 0..params.max_epochs {
-        let full = met_tol || epoch % FULL_PASS_EVERY == 0;
+        let full = epoch % FULL_PASS_EVERY == 0;
         if full {
             active = n;
             (pg_max_old, pg_min_old) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -279,15 +289,38 @@ fn solve_dual(
             }
             s += 1;
         }
-        // max |PG| over the pass; −∞ if every variable was shrunk.
-        met_tol = pg_max.max(-pg_min) < params.tol;
-        if met_tol && full {
-            return (w, alpha, true);
+        if full {
+            let (p, d) = primal_dual(rows, y, params.c, &w, &alpha);
+            if p - d <= params.tol * p {
+                return (w, alpha, epoch + 1, true);
+            }
         }
         pg_max_old = if pg_max > 0.0 { pg_max } else { f64::INFINITY };
         pg_min_old = if pg_min < 0.0 { pg_min } else { -f64::INFINITY };
     }
-    (w, alpha, false)
+    (w, alpha, params.max_epochs, false)
+}
+
+/// The optimality certificate of a binary solve: the primal value
+/// `P(w) = ½‖w‖² + C·Σ max(0, 1 − yᵢ wᵀx̃ᵢ)` and the dual value
+/// `D(α) = Σαᵢ − ½‖w‖²`, in O(nnz), where x̃ᵢ appends the bias feature and
+/// `w` stands for `Σαᵢyᵢx̃ᵢ`. Any primal value bounds any dual value from
+/// above and the two meet at the optimum, so P − D bounds how far P(w) is
+/// from the optimal primal value.
+fn primal_dual(rows: &[Vec<u32>], y: &[f64], c: f64, w: &[f64], alpha: &[f64]) -> (f64, f64) {
+    let half_ww = 0.5 * w.iter().map(|v| v * v).sum::<f64>();
+    let bias = w[w.len() - 1];
+    let hinge: f64 = rows
+        .iter()
+        .zip(y)
+        .map(|(row, &yi)| {
+            let wx = bias + row.iter().map(|&f| w[f as usize]).sum::<f64>();
+            (1.0 - yi * wx).max(0.0)
+        })
+        .sum();
+    let primal = half_ww + c * hinge;
+    let dual = alpha.iter().sum::<f64>() - half_ww;
+    (primal, dual)
 }
 
 /// Dual objective value `½αᵀQ̄α − eᵀα` — exposed for tests verifying the
@@ -306,8 +339,15 @@ pub fn dual_objective(rows: &[Vec<u32>], y: &[f64], alpha: &[f64]) -> f64 {
     obj
 }
 
-/// The solver without shrinking: every pass visits all n variables. The
-/// reference the shrinking solver is checked against.
+/// The projected-gradient tolerance of [`solve_dual_full_passes`], far
+/// tighter than any duality gap the shrinking solver stops on.
+#[cfg(test)]
+const REFERENCE_PG_TOL: f64 = 1e-6;
+
+/// The solver without shrinking: every pass visits all n variables, and the
+/// solve converges once a pass finds max |PG| < [`REFERENCE_PG_TOL`]; it
+/// ignores `params.tol`. The reference the shrinking solver is checked
+/// against.
 #[cfg(test)]
 fn solve_dual_full_passes(
     rows: &[Vec<u32>],
@@ -354,43 +394,11 @@ fn solve_dual_full_passes(
                 }
             }
         }
-        if max_violation < params.tol {
+        if max_violation < REFERENCE_PG_TOL {
             return (w, alpha, true);
         }
     }
     (w, alpha, false)
-}
-
-/// The optimality certificate of a binary solve: the primal value
-/// `P(w) = ½‖w‖² + C·Σ max(0, 1 − yᵢ wᵀx̃ᵢ)` and the dual value
-/// `D(α) = Σαᵢ − ½‖w‖²`, in O(nnz), where x̃ᵢ appends the bias feature and
-/// `w` stands for `Σαᵢyᵢx̃ᵢ`. Any primal value bounds any dual value from
-/// above, and the two meet at the optimum. Where every |PG_i| < tol, each
-/// term of `P − D = Σ (αᵢGᵢ + C·max(0, −Gᵢ))` is below `2·C·tol`. A
-/// converged solve read each |PG_i| during its last pass, before the rest
-/// of that pass moved w a little, so its gap meets `2·n·C·tol` in practice
-/// rather than by proof.
-#[cfg(test)]
-pub(crate) fn primal_dual(
-    rows: &[Vec<u32>],
-    y: &[f64],
-    c: f64,
-    w: &[f64],
-    alpha: &[f64],
-) -> (f64, f64) {
-    let half_ww = 0.5 * w.iter().map(|v| v * v).sum::<f64>();
-    let bias = w[w.len() - 1];
-    let hinge: f64 = rows
-        .iter()
-        .zip(y)
-        .map(|(row, &yi)| {
-            let wx = bias + row.iter().map(|&f| w[f as usize]).sum::<f64>();
-            (1.0 - yi * wx).max(0.0)
-        })
-        .sum();
-    let primal = half_ww + c * hinge;
-    let dual = alpha.iter().sum::<f64>() - half_ww;
-    (primal, dual)
 }
 
 #[cfg(test)]
@@ -485,7 +493,12 @@ mod tests {
             vec![2, 3],
         ];
         let y = vec![1.0, 1.0, -1.0, -1.0, -1.0, 1.0, 1.0, -1.0];
-        let params = LinearSvmParams::default();
+        // At the optimum each feasible ±0.05 step below costs at least
+        // ½·0.05² = 1.25e-3; a gap of 1e-6·P leaves α far closer than that.
+        let params = LinearSvmParams {
+            tol: 1e-6,
+            ..LinearSvmParams::default()
+        };
         let (w, alpha) = train_binary(&rows, &y, 4, &params);
         assert!(
             alpha.iter().all(|&a| (0.0..=params.c).contains(&a)),
@@ -564,29 +577,49 @@ mod tests {
         }
     }
 
-    /// The gap a converged solve of `n` rows stays within.
-    fn gap_bound(n: usize, params: &LinearSvmParams) -> f64 {
-        2.0 * n as f64 * params.c * params.tol
+    /// The gap a converged solve with primal value `p` stays within.
+    fn gap_bound(p: f64, params: &LinearSvmParams) -> f64 {
+        params.tol * p
+    }
+
+    /// P(w) and D(α) computed apart from [`primal_dual`]: the hinge from
+    /// each row's decision value, and D as `−dual_objective`, which reads α
+    /// alone through the O(n²) Gram matrix.
+    fn certificate(rows: &[Vec<u32>], y: &[f64], c: f64, w: &[f64], alpha: &[f64]) -> (f64, f64) {
+        let svm = LinearSvm::from_parts(vec![w.to_vec()], w.len() - 1);
+        let hinge: f64 = rows
+            .iter()
+            .zip(y)
+            .map(|(row, &yi)| (1.0 - yi * svm.decision(row, 0)).max(0.0))
+            .sum();
+        let primal = 0.5 * w.iter().map(|v| v * v).sum::<f64>() + c * hinge;
+        (primal, -dual_objective(rows, y, alpha))
     }
 
     #[test]
     fn solves_stopped_at_max_epochs_are_counted() {
-        // The first epoch starts at α = 0, where the first row visited has
-        // violation 1 > tol, so one epoch never converges; it also leaves
-        // the duality gap above the bound a converged solve meets.
+        use dfp_obs::metrics::dfp;
+        // One pass from α = 0 leaves the duality gap above `tol`·P, so a
+        // solve capped at one pass stops unconverged.
         let rows = vec![vec![0u32], vec![0, 1], vec![1], vec![]];
         let y = vec![1.0, 1.0, -1.0, -1.0];
         let params = LinearSvmParams {
             max_epochs: 1,
             ..LinearSvmParams::default()
         };
-        let unconverged = dfp_obs::metrics::dfp::train_unconverged();
-        let before = unconverged.get();
+        let before = [
+            dfp::train_solves(),
+            dfp::train_passes(),
+            dfp::train_unconverged(),
+        ]
+        .map(|counter| counter.get());
         let (w, alpha) = train_binary(&rows, &y, 2, &params);
         // Counters are process-global and tests run concurrently.
-        assert!(unconverged.get() - before >= 1);
-        let (p, d) = primal_dual(&rows, &y, params.c, &w, &alpha);
-        assert!(p - d > gap_bound(rows.len(), &params), "P {p}, D {d}");
+        assert!(dfp::train_solves().get() - before[0] >= 1);
+        assert!(dfp::train_passes().get() - before[1] >= 1);
+        assert!(dfp::train_unconverged().get() - before[2] >= 1);
+        let (p, d) = certificate(&rows, &y, params.c, &w, &alpha);
+        assert!(p - d > gap_bound(p, &params), "P {p}, D {d}");
     }
 
     /// Random sparse binary problems: 2–120 rows over 1–30 features, with
@@ -628,19 +661,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Both solvers keep 0 ≤ α ≤ C and w = Σαᵢyᵢx̃ᵢ, a converged solve
-        /// meets the gap bound, and each solver's primal value bounds the
-        /// other's dual value, so both reached the same optimum.
+        /// Both solvers keep 0 ≤ α ≤ C and w = Σαᵢyᵢx̃ᵢ, and each one's
+        /// primal value bounds the other's dual value. A converged shrinking
+        /// solve meets P − D ≤ `tol`·P, and its primal value meets the same
+        /// bound against the dual value of a converged reference, which the
+        /// tight projected-gradient rule puts at the optimum.
         #[test]
         fn shrinking_solves_are_certified_against_full_passes(problem in problem()) {
             let (rows, y, n_features, c) = problem;
             let params = LinearSvmParams::with_c(c);
-            let solves = [
-                solve_dual(&rows, &y, n_features, &params),
-                solve_dual_full_passes(&rows, &y, n_features, &params),
-            ];
-            let mut values = Vec::new();
-            for (w, alpha, converged) in &solves {
+            let (w_new, alpha_new, _, converged) = solve_dual(&rows, &y, n_features, &params);
+            // Duplicate rows with conflicting labels can take the reference
+            // tens of thousands of passes to reach its tolerance.
+            let reference = LinearSvmParams { max_epochs: 100 * params.max_epochs, ..params };
+            let (w_ref, alpha_ref, ref_converged) =
+                solve_dual_full_passes(&rows, &y, n_features, &reference);
+            for (w, alpha) in [(&w_new, &alpha_new), (&w_ref, &alpha_ref)] {
                 prop_assert!(alpha.iter().all(|&a| (0.0..=c).contains(&a)), "{:?}", alpha);
                 let mut from_alpha = vec![0.0f64; n_features + 1];
                 for (i, row) in rows.iter().enumerate() {
@@ -652,33 +688,41 @@ mod tests {
                 for (a, b) in w.iter().zip(&from_alpha) {
                     prop_assert!((a - b).abs() < 1e-9, "w {} against Σαyx̃ {}", a, b);
                 }
-                let (p, d) = primal_dual(&rows, &y, c, w, alpha);
-                if *converged {
-                    prop_assert!(p - d <= gap_bound(rows.len(), &params), "P {} D {}", p, d);
-                }
-                values.push((p, d));
             }
-            let [(p_new, d_new), (p_ref, d_ref)] = [values[0], values[1]];
+            let (p_new, d_new) = certificate(&rows, &y, c, &w_new, &alpha_new);
+            let (p_ref, d_ref) = certificate(&rows, &y, c, &w_ref, &alpha_ref);
+            if converged {
+                prop_assert!(p_new - d_new <= gap_bound(p_new, &params), "P {} D {}", p_new, d_new);
+            }
+            if converged && ref_converged {
+                prop_assert!(p_new - d_ref <= gap_bound(p_new, &params), "P {} D_ref {}", p_new, d_ref);
+            }
             prop_assert!(p_new >= d_ref - 1e-9 * p_new.abs().max(1.0), "{} < {}", p_new, d_ref);
             prop_assert!(p_ref >= d_new - 1e-9 * p_ref.abs().max(1.0), "{} < {}", p_ref, d_new);
         }
     }
 
     #[test]
-    fn a_shrunk_pass_meeting_tol_is_not_convergence() {
+    fn only_a_full_pass_decides_convergence() {
         // Case 1871 of `problem()`: 104 rows over two used features, mostly
-        // duplicates with conflicting labels, at C = 1. In its ninth pass
-        // the active set, 46 variables, meets `tol`; most of the 58 shrunk
-        // ones sit at α = C, and some are far from their KKT condition by
-        // then. Stopping there would leave P − D at about 96× the bound, so
-        // only the full pass that follows may decide convergence. Random
-        // cases hit this about once in 5000.
+        // duplicates with conflicting labels, at C = 1. Its 11th pass, a
+        // full one, leaves the gap just above the bound; the shrunk 12th
+        // meets it, yet the solve goes on to the next full pass and stops
+        // there, with a certified gap.
         let (rows, y, n_features, c) = problem().generate(&mut StdRng::seed_from_u64(1871));
         let params = LinearSvmParams::with_c(c);
-        let (w, alpha, converged) = solve_dual(&rows, &y, n_features, &params);
-        let (p, d) = primal_dual(&rows, &y, c, &w, &alpha);
+        let twelve = LinearSvmParams {
+            max_epochs: 12,
+            ..params
+        };
+        let (w, alpha, _, converged) = solve_dual(&rows, &y, n_features, &twelve);
+        let (p, d) = certificate(&rows, &y, c, &w, &alpha);
+        assert!(!converged && p - d <= gap_bound(p, &params), "P {p}, D {d}");
+        let (w, alpha, passes, converged) = solve_dual(&rows, &y, n_features, &params);
+        let (p, d) = certificate(&rows, &y, c, &w, &alpha);
         assert!(converged);
-        assert!(p - d <= gap_bound(rows.len(), &params), "P {p}, D {d}");
+        assert_eq!(passes, 2 * FULL_PASS_EVERY + 1);
+        assert!(p - d <= gap_bound(p, &params), "P {p}, D {d}");
     }
 
     #[test]

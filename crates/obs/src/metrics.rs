@@ -618,11 +618,24 @@ pub mod dfp {
         "Redundancy evaluations made refreshing stale MMRFS candidates"
     );
     counter_fn!(
+        /// Linear-SVM binary dual solves.
+        train_solves,
+        "dfp_train_solves_total",
+        "Linear-SVM binary dual solves"
+    );
+    counter_fn!(
+        /// Linear-SVM dual coordinate descent passes, full or over the
+        /// shrunk active set.
+        train_passes,
+        "dfp_train_passes_total",
+        "Linear-SVM dual coordinate descent passes (full or over the shrunk active set)"
+    );
+    counter_fn!(
         /// Linear-SVM dual solves that stopped at `max_epochs` with the
-        /// projected-gradient violation still at or above `tol`.
+        /// relative duality gap (P − D)/P still above `tol`.
         train_unconverged,
         "dfp_train_unconverged_total",
-        "Linear-SVM dual solves that stopped at max_epochs before the violation fell below tol"
+        "Linear-SVM dual solves that stopped at max_epochs before the relative duality gap met tol"
     );
     counter_fn!(
         /// Mining-memoization cache hits (a mine call answered from cache).
@@ -706,6 +719,8 @@ pub mod dfp {
         select_candidates_scanned();
         select_argmax_rounds();
         select_redundancy_updates();
+        train_solves();
+        train_passes();
         train_unconverged();
         cache_mining_hits();
         cache_mining_misses();
@@ -812,6 +827,8 @@ mod tests {
             "dfp_mine_patterns_emitted_total",
             "dfp_mine_nodes_explored_total",
             "dfp_select_candidates_scanned_total",
+            "dfp_train_solves_total",
+            "dfp_train_passes_total",
             "dfp_train_unconverged_total",
             "dfp_pipeline_stage_seconds",
             "dfp_pipeline_degraded",
